@@ -7,6 +7,12 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 cargo test -q --offline
+# Trace-flush race guard: worker spans must reach the sink before a
+# scoped pool returns. The loss is a race, so one green run proves
+# little; repeat the trace tests.
+for _ in $(seq 1 20); do
+  cargo test -q --offline -p hlpower-obs -p hlpower-rng trace
+done
 cargo fmt --check
 # API docs must build clean: every public item is documented
 # (#![warn(missing_docs)] everywhere) and -D warnings makes any rustdoc

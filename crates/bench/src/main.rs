@@ -256,13 +256,28 @@ fn main() {
         }
     }
     // Export the span trace last so every subsystem's spans are in it.
-    // A failed export, an invalid trace, or any ring-buffer drop fails
+    // A failed export, an invalid trace, any ring-buffer drop, or a span
+    // that was emitted but neither written nor counted as dropped fails
     // the run: a silently truncated trace would masquerade as a quiet one.
     if let Some(path) = trace_path {
         match trace::write_chrome_json(&path) {
             Ok(n) => {
                 let text = std::fs::read_to_string(&path).unwrap_or_default();
+                let emitted = trace::emitted();
+                if emitted != n as u64 + trace::dropped() {
+                    eprintln!(
+                        "error: {emitted} span(s) emitted but {n} written and {} dropped",
+                        trace::dropped()
+                    );
+                    failures += 1;
+                }
                 match trace::parse_chrome_trace(&text) {
+                    Ok(parsed)
+                        if want_profile && !parsed.iter().any(|e| e.name.starts_with("mc.")) =>
+                    {
+                        eprintln!("error: the --profile trace holds no `mc.*` span");
+                        failures += 1;
+                    }
                     Ok(parsed) if parsed.len() == n => {
                         println!("trace: {n} span(s) written to {}", path);
                     }

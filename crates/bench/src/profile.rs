@@ -5,7 +5,10 @@
 //! group ([`hlpower::netlist::attribute`]), cross-checks the attribution
 //! totals against the switched-capacitance [`PowerReport`] of the same
 //! activity (hard failure on any mismatch beyond 1e-9 relative), and
-//! dumps per-circuit hotspot reports under `results/profile/`:
+//! estimates the same circuit's power by seeded Monte-Carlo under the
+//! same stimulus model (on the worker pool, so a traced run covers the
+//! `mc` and `pool` spans), and dumps per-circuit hotspot reports under
+//! `results/profile/`:
 //!
 //! * `results/profile/<circuit>.json` — top-N gates, per-group and
 //!   per-bus rollups, totals, and the reconciliation verdict;
@@ -13,10 +16,10 @@
 //!   collapsed-stack format, ready for standard flamegraph tooling.
 
 use hlpower::netlist::{
-    attribute, gen, streams, Activity, AttributionReport, Library, Netlist, PowerReport, Sim64,
-    LANES,
+    attribute, gen, monte_carlo_power_seeded_threads_kernel, streams, Activity, AttributionReport,
+    Library, McKernel, MonteCarloOptions, MonteCarloResult, Netlist, PowerReport, Sim64, LANES,
 };
-use hlpower_rng::Rng;
+use hlpower_rng::{par, Rng};
 
 use crate::json;
 use crate::report::Json;
@@ -42,6 +45,8 @@ pub struct ProfileOutcome {
     pub power: PowerReport,
     /// `Err` describes the first reconciliation mismatch, if any.
     pub reconcile: Result<(), String>,
+    /// Seeded Monte-Carlo estimate of the same circuit's power.
+    pub monte_carlo: MonteCarloResult,
 }
 
 /// Runs the packed kernel over one circuit: 64 lanes, each fed an
@@ -80,9 +85,32 @@ pub fn run_profile() -> Vec<ProfileOutcome> {
             let power = act.power(&nl, &lib);
             let report = attribute(&nl, &lib, &act);
             let reconcile = report.reconcile(&power);
-            ProfileOutcome { name, report, power, reconcile }
+            let monte_carlo = monte_carlo_estimate(&nl, &lib);
+            ProfileOutcome { name, report, power, reconcile, monte_carlo }
         })
         .collect()
+}
+
+/// Seeded Monte-Carlo power of `nl` under the profile's stimulus model:
+/// 256 batches of [`PROFILE_CYCLES`] cycles, four 64-lane words per wave.
+/// Thread-count invariant, like the rest of the profile.
+fn monte_carlo_estimate(nl: &Netlist, lib: &Library) -> MonteCarloResult {
+    let width = nl.input_count();
+    let opts = MonteCarloOptions {
+        batch_cycles: PROFILE_CYCLES,
+        max_batches: 4 * LANES,
+        ..Default::default()
+    };
+    monte_carlo_power_seeded_threads_kernel(
+        nl,
+        lib,
+        |rng| streams::random_rng(rng, width),
+        PROFILE_SEED,
+        &opts,
+        par::num_threads(),
+        McKernel::Packed64,
+    )
+    .expect("benchmark circuits are acyclic")
 }
 
 fn rollup_json(
@@ -135,6 +163,11 @@ impl ProfileOutcome {
                 "energy_fj": self.report.total_energy_fj,
                 "power_uw": self.power.total_power_uw(),
             },
+            "monte_carlo": {
+                "power_uw": self.monte_carlo.power_uw,
+                "half_width_uw": self.monte_carlo.half_width_uw,
+                "batches": self.monte_carlo.batches,
+            },
             "clock": {
                 "energy_fj": self.report.clock_energy_fj,
                 "switched_cap_ff": self.report.clock_switched_cap_ff,
@@ -168,6 +201,10 @@ impl ProfileOutcome {
             self.report.cycles,
             self.report.total_switched_cap_pf(),
             self.power.total_power_uw()
+        );
+        println!(
+            "  Monte-Carlo estimate: {:.2} +/- {:.2} uW ({} batches)",
+            self.monte_carlo.power_uw, self.monte_carlo.half_width_uw, self.monte_carlo.batches
         );
         match &self.reconcile {
             Ok(()) => println!("  attribution reconciles with the power report (<= 1e-9 rel)"),

@@ -70,11 +70,9 @@ pub use ingest::{
 pub use io::{parse_netlist, write_netlist, ParseNetlistError};
 pub use library::{GateKind, Library};
 pub use montecarlo::{
-    mean_ci_half_width, monte_carlo_glitch_power_seeded, monte_carlo_glitch_power_seeded_threads,
     monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power, monte_carlo_power_seeded,
-    monte_carlo_power_seeded_threads, monte_carlo_power_seeded_threads_kernel,
-    simulate_packed_glitch_lanes, simulate_packed_lanes, LaneRequest, McKernel, MonteCarloOptions,
-    MonteCarloResult, StoppingReplay,
+    monte_carlo_power_seeded_threads_kernel, simulate_lanes, Delay, LaneRequest, McKernel,
+    MonteCarloOptions, MonteCarloResult, StoppingReplay,
 };
 pub use netlist::{Bus, GroupId, Netlist, NodeId, NodeKind};
 pub use power::attribution::{

@@ -2,33 +2,23 @@
 //! reference 32, Burch et al.), batching, and a deterministic parallel
 //! engine.
 //!
-//! Two entry points:
+//! Zero-delay and real-delay (glitch) power are one estimator on two
+//! simulators: the delay model is a value ([`Delay`]), and so is the lane
+//! width ([`McKernel`]).
 //!
-//! * [`monte_carlo_power`] — the classic serial form: one simulator
-//!   instance consumes an arbitrary input-vector iterator, one power
-//!   sample per batch, normal-approximation stopping rule.
-//! * [`monte_carlo_power_seeded`] — the parallel form: every batch gets
-//!   its own RNG stream, *split by batch index* from a root seed
-//!   ([`hlpower_rng::Rng::split`]). Batches are sharded across a scoped
-//!   worker pool in fixed-size waves, and the stopping rule is applied in
-//!   batch-index order, so the result is **bit-identical for any thread
-//!   count** — `threads = 1` and `threads = 64` return the same
-//!   `MonteCarloResult`, exactly.
-//!
-//! The seeded engine runs on one of several simulation kernels
-//! ([`McKernel`]): the scalar [`ZeroDelaySim`] (one simulator per batch)
-//! or a bit-parallel [`crate::WideSim`] at 64, 256, or 512 lanes, which
-//! packs that many batches into the bit lanes of one compiled simulator
-//! instance ([`McKernel::Auto`], the default, picks the width from the
-//! batch budget). Per-lane toggle counts are exact integers, so every
-//! kernel produces **bit-identical results** — the packed kernels are
-//! purely a wall-clock optimization and the scalar kernel remains
-//! available as the differential oracle.
-//!
-//! The serial and seeded forms are statistically equivalent but not
-//! bit-compatible with each other: the seeded engine restarts the
-//! simulator per batch (batches must be independent to parallelize), while
-//! the serial engine carries simulator state across batches.
+//! * [`monte_carlo_power`] — the serial form: one zero-delay simulator
+//!   consumes an arbitrary vector iterator, carrying state across batches.
+//! * [`monte_carlo_power_seeded_threads_kernel`] and its glitch twin
+//!   [`monte_carlo_glitch_power_seeded_threads_kernel`] — the seeded form:
+//!   batch `b` consumes its own stream `root.split(b)`, batches run on a
+//!   scoped pool in fixed-size waves, and the stopping rule
+//!   ([`StoppingReplay`]) is replayed in batch order, so the result is
+//!   **bit-identical for any thread count and any width**.
+//! * [`simulate_lanes`] — the one word runner under the seeded form and
+//!   the estimation server: each lane runs one [`LaneRequest`] on the
+//!   scalar oracle or a 64/256/512-lane packed simulator. Per-lane toggle
+//!   counts are exact integers, so the packed widths are purely a
+//!   wall-clock optimization.
 
 use hlpower_obs::metrics as obs;
 use hlpower_obs::trace;
@@ -41,7 +31,6 @@ use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
 use crate::sim64::CompiledKernel;
-use crate::sim64timed::TimedKernel;
 use crate::simwide::{WideSim, WideTimedSim};
 use crate::words::{Word, W256, W512};
 
@@ -58,26 +47,35 @@ const WAVE: usize = 16;
 /// `WAVE`.
 const WAVE_WORDS: usize = 4;
 
-/// The simulation kernel used by the seeded Monte-Carlo engine.
-///
-/// Every kernel returns bit-identical [`MonteCarloResult`]s for the same
-/// `(netlist, lib, stream_fn, seed, opts)`: batch `b` of a packed kernel
-/// is lane `b % lanes` of word `b / lanes`, fed by the same split stream
-/// `root.split(b)` a scalar batch would consume, and per-lane activities
-/// are exact. The only difference between kernels is wall clock.
+/// The delay model a Monte-Carlo run simulates under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delay {
+    /// Functional (zero-delay) switching: [`ZeroDelaySim`] /
+    /// [`WideSim`].
+    ZeroDelay,
+    /// Real-delay, glitch-capturing switching under the library's
+    /// transport delays: [`EventDrivenSim`] / [`WideTimedSim`].
+    Glitch,
+}
+
+/// The simulation kernel (lane width) of a Monte-Carlo run, of
+/// [`simulate_lanes`], and of [`crate::timed_activity`] (as
+/// [`crate::TimedKernel`]). Every kernel returns bit-identical results;
+/// the only difference between kernels is wall clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum McKernel {
-    /// One scalar [`ZeroDelaySim`] per batch — the differential oracle.
+    /// One scalar simulator per batch ([`ZeroDelaySim`] or
+    /// [`EventDrivenSim`]) — the differential oracle.
     Scalar,
-    /// One bit-parallel 64-lane [`crate::Sim64`] per 64 batches.
+    /// One bit-parallel 64-lane simulator per 64 batches.
     Packed64,
-    /// One 256-lane [`crate::WideSim`]`<`[`W256`]`>` per 256 batches.
+    /// One 256-lane simulator ([`W256`] words) per 256 batches.
     Packed256,
-    /// One 512-lane [`crate::WideSim`]`<`[`W512`]`>` per 512 batches.
+    /// One 512-lane simulator ([`W512`] words) per 512 batches.
     Packed512,
-    /// Picks the packed width from the batch budget at run time (the
-    /// default): [`Packed512`](Self::Packed512) when `max_batches >= 512`,
-    /// [`Packed256`](Self::Packed256) when `>= 256`, else
+    /// Picks the packed width from the workload size at run time (the
+    /// default): [`Packed512`](Self::Packed512) when it is at least 512,
+    /// [`Packed256`](Self::Packed256) when at least 256, else
     /// [`Packed64`](Self::Packed64). Result-invariant — every width
     /// computes identical samples.
     #[default]
@@ -85,19 +83,21 @@ pub enum McKernel {
 }
 
 impl McKernel {
-    /// Resolves [`Auto`](Self::Auto) against the run's batch budget;
-    /// explicit kernels resolve to themselves.
-    pub fn resolve(self, max_batches: usize) -> Self {
+    /// Resolves [`Auto`](Self::Auto) against the workload size — the
+    /// batch budget of a seeded run, the request count of
+    /// [`simulate_lanes`], or the stream transitions of
+    /// [`crate::timed_activity`]; explicit kernels resolve to themselves.
+    pub fn resolve(self, workload: usize) -> Self {
         match self {
-            McKernel::Auto if max_batches >= 512 => McKernel::Packed512,
-            McKernel::Auto if max_batches >= 256 => McKernel::Packed256,
+            McKernel::Auto if workload >= W512::LANES => McKernel::Packed512,
+            McKernel::Auto if workload >= W256::LANES => McKernel::Packed256,
             McKernel::Auto => McKernel::Packed64,
             explicit => explicit,
         }
     }
 
-    /// Batches simulated per task group: 1 for the scalar kernel, the
-    /// lane count for packed kernels.
+    /// Lanes one simulator instance advances per step: 1 for the scalar
+    /// kernel, the word's lane count for packed kernels.
     ///
     /// # Panics
     ///
@@ -106,9 +106,9 @@ impl McKernel {
     pub fn lanes(self) -> usize {
         match self {
             McKernel::Scalar => 1,
-            McKernel::Packed64 => 64,
-            McKernel::Packed256 => 256,
-            McKernel::Packed512 => 512,
+            McKernel::Packed64 => u64::LANES,
+            McKernel::Packed256 => W256::LANES,
+            McKernel::Packed512 => W512::LANES,
             McKernel::Auto => panic!("McKernel::Auto must be resolved before lanes()"),
         }
     }
@@ -211,8 +211,8 @@ impl MonteCarloResult {
 /// Estimates average power by batched Monte-Carlo simulation over a stream.
 ///
 /// The stream supplies input vectors; each batch of `opts.batch_cycles`
-/// cycles contributes one power sample, and sampling stops when the
-/// normal-approximation confidence interval is tighter than
+/// cycles contributes one power sample to a [`StoppingReplay`], which
+/// stops when the normal-approximation confidence interval is tighter than
 /// `opts.target_relative_error` (after at least 5 batches) or when
 /// `opts.max_batches` is exhausted.
 ///
@@ -233,61 +233,28 @@ pub fn monte_carlo_power(
     let _t = obs::MC_TIME.span();
     let mut sim = ZeroDelaySim::new(netlist)?;
     let mut it = stream.into_iter();
-    let mut samples: Vec<f64> = Vec::new();
-    let mut total_cycles = 0u64;
+    let mut replay = StoppingReplay::new(opts);
     for batch in 0..opts.max_batches {
         let _batch_t = obs::MC_BATCH_NS.time();
         let _span = trace::span_dyn("mc", || format!("mc.batch:{batch}"));
         let mut got = 0usize;
-        for _ in 0..opts.batch_cycles {
-            match it.next() {
-                Some(v) => {
-                    sim.step(&v)?;
-                    got += 1;
-                }
-                None => break,
-            }
+        for v in it.by_ref().take(opts.batch_cycles) {
+            sim.step(&v)?;
+            got += 1;
         }
         if got == 0 {
             break;
         }
         let act = sim.take_activity();
-        total_cycles += act.cycles;
-        samples.push(act.power(netlist, lib).total_power_uw());
-        obs::MC_BATCHES.inc();
-        obs::MC_CYCLES.add(act.cycles);
-        if samples.len() >= 2 {
-            let (_, hw) = mean_half_width(&samples, opts.z);
-            obs::MC_CI_HALF_WIDTH_UW.push(hw);
-            obs::MC_CI_HALF_WIDTH_NW.record((hw * 1000.0).round() as u64);
-        }
-        if samples.len() >= 5 {
-            let (mean, hw) = mean_half_width(&samples, opts.z);
-            if mean > 0.0 && hw / mean < opts.target_relative_error {
-                return Ok(MonteCarloResult {
-                    power_uw: mean,
-                    half_width_uw: hw,
-                    batches: samples.len(),
-                    cycles: total_cycles,
-                });
-            }
+        if replay.push(act.power(netlist, lib).total_power_uw(), act.cycles).is_some() {
+            break;
         }
     }
-    if samples.is_empty() {
-        return Err(NetlistError::EmptyStream);
-    }
-    let (mean, hw) = mean_half_width(&samples, opts.z);
-    Ok(MonteCarloResult {
-        power_uw: mean,
-        half_width_uw: hw,
-        batches: samples.len(),
-        cycles: total_cycles,
-    })
+    replay.finish()
 }
 
-/// Parallel Monte-Carlo power estimation on the default worker count
-/// ([`hlpower_rng::par::num_threads`], i.e. `HLPOWER_THREADS` or all
-/// cores).
+/// Parallel zero-delay Monte-Carlo power estimation on `HLPOWER_THREADS`
+/// workers (all cores when unset) and the default [`McKernel::Auto`].
 ///
 /// `stream_fn` is called once per batch with that batch's *split* RNG
 /// stream (`root.split(batch_index)`) and must return the batch's input
@@ -316,15 +283,13 @@ pub fn monte_carlo_power(
 /// assert!(r.power_uw > 0.0);
 /// ```
 ///
-/// # Determinism
-///
-/// The result is a pure function of `(netlist, lib, stream_fn, seed,
-/// opts)` — the worker count never affects it. See
-/// [`monte_carlo_power_seeded_threads`] for the mechanism.
+/// The result never depends on the worker count; see
+/// [`monte_carlo_power_seeded_threads_kernel`].
 ///
 /// # Errors
 ///
-/// As [`monte_carlo_power`].
+/// As [`monte_carlo_power`], plus [`NetlistError::InvalidThreadCount`]
+/// for an invalid `HLPOWER_THREADS`.
 pub fn monte_carlo_power_seeded<F, I>(
     netlist: &Netlist,
     lib: &Library,
@@ -338,62 +303,24 @@ where
 {
     let threads = par::num_threads_checked()
         .map_err(|e| NetlistError::InvalidThreadCount { reason: e.to_string() })?;
-    monte_carlo_power_seeded_threads(netlist, lib, stream_fn, seed, opts, threads)
+    seeded(netlist, lib, stream_fn, seed, opts, threads, McKernel::default(), Delay::ZeroDelay)
 }
 
-/// [`monte_carlo_power_seeded`] with an explicit worker count, on the
-/// default [`McKernel::Auto`] kernel (packed width picked from the batch
-/// budget).
+/// Parallel zero-delay Monte-Carlo power estimation with an explicit
+/// worker count and simulation kernel.
+///
+/// Batch `b` is fed by `stream_fn(root.split(b))` under every kernel, a
+/// batch's sample is a pure function of the seed and its index, and the
+/// stopping decision is a pure function of the ordered sample prefix, so
+/// **every thread count and every kernel computes the identical result**;
+/// only the count of speculative batches discarded at the stop point (an
+/// `hlpower-obs` counter) depends on the kernel's wave granularity.
+/// [`McKernel::Auto`] resolves against `opts.max_batches`.
 ///
 /// # Errors
 ///
 /// As [`monte_carlo_power`], plus [`NetlistError::InvalidThreadCount`]
-/// when `threads` is 0 (previously this was silently clamped to 1).
-pub fn monte_carlo_power_seeded_threads<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-    threads: usize,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    monte_carlo_power_seeded_threads_kernel(
-        netlist,
-        lib,
-        stream_fn,
-        seed,
-        opts,
-        threads,
-        McKernel::default(),
-    )
-}
-
-/// [`monte_carlo_power_seeded_threads`] with an explicit simulation
-/// kernel.
-///
-/// Work is scheduled in fixed-size waves of parallel tasks — `WAVE`
-/// single-batch tasks for the scalar kernel, `WAVE_WORDS` packed words
-/// (one batch per lane) for the packed kernels — and the serial stopping
-/// rule is replayed over the resulting power samples in batch-index
-/// order. Batch `b` is fed by `stream_fn(root.split(b))` under every
-/// kernel, a batch's sample is a pure function of the seed and its index,
-/// and the stopping decision is a pure function of the ordered sample
-/// prefix, so **every thread count and every kernel computes the
-/// identical result**; only the number of speculative batches discarded
-/// at the stop point (an `hlpower-obs` counter, not a result) depends on
-/// the kernel's wave granularity. A batch budget that is not a multiple
-/// of the lane count simply leaves the trailing lanes of the final word
-/// masked out — they are never simulated, not silently rounded up or
-/// down.
-///
-/// # Errors
-///
-/// As [`monte_carlo_power_seeded_threads`].
-#[allow(clippy::too_many_arguments)]
+/// when `threads` is 0.
 pub fn monte_carlo_power_seeded_threads_kernel<F, I>(
     netlist: &Netlist,
     lib: &Library,
@@ -407,105 +334,19 @@ where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
 {
-    // Surface cyclic-netlist errors once, up front, rather than from
-    // whichever worker happens to hit them first.
-    ZeroDelaySim::new(netlist)?;
-    let root = Rng::seed_from_u64(seed);
-    // One coefficient table for the whole run: converting per-lane
-    // activities to power samples is the per-batch fixed cost, and doing
-    // it through `Activity::power` (which re-derives load caps and the
-    // group breakdown every call) used to dwarf the packed simulation.
-    let model = PowerModel::new(netlist, lib);
-    let kernel = kernel.resolve(opts.max_batches);
-    match kernel {
-        McKernel::Scalar => seeded_wave_engine(opts, threads, 1, |base, _lanes| {
-            Ok(vec![run_scalar_batch(netlist, &model, &stream_fn, &root, base, opts)?])
-        }),
-        McKernel::Packed64 => seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-            run_packed_word::<u64, _, _>(netlist, &model, &stream_fn, &root, base, lanes, opts)
-        }),
-        McKernel::Packed256 => seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-            run_packed_word::<W256, _, _>(netlist, &model, &stream_fn, &root, base, lanes, opts)
-        }),
-        McKernel::Packed512 => seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-            run_packed_word::<W512, _, _>(netlist, &model, &stream_fn, &root, base, lanes, opts)
-        }),
-        McKernel::Auto => unreachable!("resolve never returns Auto"),
-    }
+    seeded(netlist, lib, stream_fn, seed, opts, threads, kernel, Delay::ZeroDelay)
 }
 
-/// Parallel Monte-Carlo estimation of *glitch-aware* (real-delay) average
-/// power on the default worker count and the default
-/// [`TimedKernel::Auto`] kernel (packed width picked from the batch
-/// budget).
-///
-/// This is the timed-simulation sibling of [`monte_carlo_power_seeded`]:
-/// identical batching, splitting, and stopping-rule semantics, but each
-/// batch is simulated under the library's transport-delay model, so the
-/// power samples include glitch transitions the zero-delay estimator
-/// cannot see (on arithmetic circuits these can dominate — the survey's
-/// motivation for real-delay estimation).
+/// [`monte_carlo_power_seeded_threads_kernel`] under the real-delay
+/// [`Delay::Glitch`] model: identical batching, splitting, stopping, and
+/// determinism, but each batch is simulated under the library's
+/// transport delays, so the power samples include the glitch transitions
+/// the zero-delay estimator cannot see (on arithmetic circuits these can
+/// dominate — the survey's motivation for real-delay estimation).
 ///
 /// # Errors
 ///
-/// As [`monte_carlo_power`].
-pub fn monte_carlo_glitch_power_seeded<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let threads = par::num_threads_checked()
-        .map_err(|e| NetlistError::InvalidThreadCount { reason: e.to_string() })?;
-    monte_carlo_glitch_power_seeded_threads(netlist, lib, stream_fn, seed, opts, threads)
-}
-
-/// [`monte_carlo_glitch_power_seeded`] with an explicit worker count.
-///
-/// # Errors
-///
-/// As [`monte_carlo_power_seeded_threads`].
-pub fn monte_carlo_glitch_power_seeded_threads<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-    threads: usize,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    monte_carlo_glitch_power_seeded_threads_kernel(
-        netlist,
-        lib,
-        stream_fn,
-        seed,
-        opts,
-        threads,
-        TimedKernel::default(),
-    )
-}
-
-/// [`monte_carlo_glitch_power_seeded_threads`] with an explicit timed
-/// kernel.
-///
-/// Batch `b` is fed by `stream_fn(root.split(b))` under every kernel and
-/// per-lane timed activities are exact, so — as with the zero-delay engine
-/// — **every thread count and every kernel computes the identical
-/// result**. [`TimedKernel::Auto`] resolves against the batch budget,
-/// exactly as [`McKernel::Auto`] does.
-///
-/// # Errors
-///
-/// As [`monte_carlo_power_seeded_threads`].
-#[allow(clippy::too_many_arguments)]
+/// As [`monte_carlo_power_seeded_threads_kernel`].
 pub fn monte_carlo_glitch_power_seeded_threads_kernel<F, I>(
     netlist: &Netlist,
     lib: &Library,
@@ -513,74 +354,54 @@ pub fn monte_carlo_glitch_power_seeded_threads_kernel<F, I>(
     seed: u64,
     opts: &MonteCarloOptions,
     threads: usize,
-    kernel: TimedKernel,
+    kernel: McKernel,
 ) -> Result<MonteCarloResult, NetlistError>
 where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
 {
-    ZeroDelaySim::new(netlist)?;
-    let root = Rng::seed_from_u64(seed);
-    // Shared coefficient table, as in the zero-delay engine above. The
-    // library is still threaded through for the simulators' delay model.
-    let model = PowerModel::new(netlist, lib);
-    let kernel = kernel.resolve(opts.max_batches);
-    match kernel {
-        TimedKernel::Scalar => seeded_wave_engine(opts, threads, 1, |base, _lanes| {
-            Ok(vec![run_scalar_glitch_batch(netlist, lib, &model, &stream_fn, &root, base, opts)?])
-        }),
-        TimedKernel::Packed64 => {
-            seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-                run_packed_glitch_word::<u64, _, _>(
-                    netlist, lib, &model, &stream_fn, &root, base, lanes, opts,
-                )
-            })
-        }
-        TimedKernel::Packed256 => {
-            seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-                run_packed_glitch_word::<W256, _, _>(
-                    netlist, lib, &model, &stream_fn, &root, base, lanes, opts,
-                )
-            })
-        }
-        TimedKernel::Packed512 => {
-            seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-                run_packed_glitch_word::<W512, _, _>(
-                    netlist, lib, &model, &stream_fn, &root, base, lanes, opts,
-                )
-            })
-        }
-        TimedKernel::Auto => unreachable!("resolve never returns Auto"),
-    }
+    seeded(netlist, lib, stream_fn, seed, opts, threads, kernel, Delay::Glitch)
 }
 
-/// The shared seeded-engine core: fixed-size speculative waves plus the
+/// The seeded engine: fixed-size speculative waves of words plus the
 /// serial stopping-rule replay in batch-index order.
 ///
-/// `run_group(base, lanes)` simulates batches `base..base + lanes` and
-/// returns one `(power, cycles)` sample per batch (`None` for an empty
-/// stream). `group_width` is the kernel's lane count (1 for scalar); the
-/// final group of a wave is *ragged* — `lanes < group_width` — when the
-/// remaining batch budget is not a multiple of the width, so the engine
-/// never simulates batches past `max_batches` (the kernel masks the
-/// unused trailing lanes out). Wave shapes are a pure function of
-/// `(group_width, remaining)`, never of the thread count, so the
-/// simulated-batch set — and therefore the result — is bit-identical for
-/// any `threads`.
-fn seeded_wave_engine<G>(
+/// Batch `b` is lane request `{seed, b, opts.batch_cycles}`; a wave holds
+/// `WAVE` batches (scalar) or `WAVE_WORDS` words of `kernel.lanes()`
+/// batches (packed), and [`simulate_lanes`] runs each word on the pool.
+/// The last word is *ragged* when the remaining budget is not a multiple
+/// of the width, so no batch past `max_batches` is simulated. Wave shapes
+/// never depend on the thread count, so neither does the result.
+#[allow(clippy::too_many_arguments)]
+fn seeded<F, I>(
+    netlist: &Netlist,
+    lib: &Library,
+    stream_fn: F,
+    seed: u64,
     opts: &MonteCarloOptions,
     threads: usize,
-    group_width: usize,
-    run_group: G,
+    kernel: McKernel,
+    delay: Delay,
 ) -> Result<MonteCarloResult, NetlistError>
 where
-    G: Fn(u64, usize) -> Result<Vec<Option<(f64, u64)>>, NetlistError> + Sync,
+    F: Fn(Rng) -> I + Sync,
+    I: IntoIterator<Item = Vec<bool>>,
 {
+    // Surface cyclic-netlist errors once, up front, rather than from
+    // whichever worker happens to hit them first.
+    ZeroDelaySim::new(netlist)?;
+    // One coefficient table for the whole run: converting per-lane
+    // activities to power samples is the per-batch fixed cost, and doing
+    // it through `Activity::power` (which re-derives load caps and the
+    // group breakdown every call) used to dwarf the packed simulation.
+    let model = PowerModel::new(netlist, lib);
     if threads == 0 {
         return Err(NetlistError::InvalidThreadCount {
             reason: "explicit worker count 0".to_string(),
         });
     }
+    let kernel = kernel.resolve(opts.max_batches);
+    let lanes = kernel.lanes();
     obs::MC_RUNS.inc();
     let _t = obs::MC_TIME.span();
     let mut replay = StoppingReplay::new(opts);
@@ -588,25 +409,18 @@ where
     let mut next_batch = 0u64;
     while !exhausted && !replay.is_done() && replay.batches() < opts.max_batches {
         let remaining = opts.max_batches - replay.batches();
-        // Task groups for this wave as `(first batch index, batch count)`.
-        let groups: Vec<(u64, usize)> = if group_width > 1 {
-            (0..WAVE_WORDS.min(remaining.div_ceil(group_width)))
-                .map(|w| {
-                    let off = w * group_width;
-                    (next_batch + off as u64, group_width.min(remaining - off))
-                })
-                .collect()
-        } else {
-            (0..WAVE.min(remaining)).map(|i| (next_batch + i as u64, 1)).collect()
-        };
-        let dispatched: usize = groups.iter().map(|&(_, n)| n).sum();
+        let dispatched = remaining.min(if lanes > 1 { WAVE_WORDS * lanes } else { WAVE });
+        let requests: Vec<LaneRequest> = (next_batch..next_batch + dispatched as u64)
+            .map(|batch| LaneRequest { seed, batch, cycles: opts.batch_cycles })
+            .collect();
         next_batch += dispatched as u64;
         obs::MC_WAVES.inc();
-        let wave_span = trace::span_dyn("mc", || {
-            format!("mc.wave:{}+{}", next_batch - dispatched as u64, dispatched)
+        let wave_span =
+            trace::span_dyn("mc", || format!("mc.wave:{}+{dispatched}", requests[0].batch));
+        let words: Vec<&[LaneRequest]> = requests.chunks(lanes).collect();
+        let wave = par::map_with_threads(threads, &words, |_, word| {
+            simulate_lanes(netlist, lib, &model, None, delay, kernel, &stream_fn, word)
         });
-        let wave: Vec<Result<Vec<Option<(f64, u64)>>, NetlistError>> =
-            par::map_with_threads(threads, &groups, |_, &(base, lanes)| run_group(base, lanes));
         drop(wave_span);
         let mut consumed = 0usize;
         'replay: for outcome in wave {
@@ -634,33 +448,16 @@ where
     replay.finish()
 }
 
-/// Mean and normal-approximation confidence-interval half-width (`z`
-/// multiplier, sample standard deviation over `sqrt(n)`) of `samples`.
+/// The Monte-Carlo stopping rule as a reusable object: push power samples
+/// **in batch-index order** and the replay decides when the run is done
+/// and what the result is.
 ///
-/// This is the exact arithmetic of the seeded engine's stopping rule,
-/// exported so external consumers (the estimation server's streamed CI
-/// updates) report intervals bit-identical to the engine's. Fewer than
-/// two samples yield an infinite half-width.
-pub fn mean_ci_half_width(samples: &[f64], z: f64) -> (f64, f64) {
-    mean_half_width(samples, z)
-}
-
-/// The seeded engine's serial stopping rule as a reusable object: push
-/// power samples **in batch-index order** and the replay decides — with
-/// exactly the arithmetic and the exact stop conditions of
-/// [`monte_carlo_power_seeded_threads_kernel`] — when the run is done and
-/// what the result is.
-///
-/// The seeded wave engine itself runs on this type, so any scheduler that
-/// produces the same per-batch samples (for example the estimation
-/// server's multi-tenant lane packer, which interleaves batches of many
-/// jobs into shared packed words) and replays them through a
-/// `StoppingReplay` is **bit-identical by construction** to the offline
-/// entry points — same mean, same half-width, same batch count.
-///
-/// The replay also drives the `monte_carlo` metric counters
-/// (`batches`, `cycles`, CI trajectory), matching the engine's
-/// instrumentation.
+/// Both engines run on this type, so any scheduler that produces the same
+/// per-batch samples (for example the estimation server's multi-tenant
+/// lane packer) and replays them through a `StoppingReplay` is
+/// **bit-identical by construction** to the offline entry points. The
+/// replay also drives the `monte_carlo` metric counters (`batches`,
+/// `cycles`, CI trajectory).
 #[derive(Debug, Clone)]
 pub struct StoppingReplay {
     opts: MonteCarloOptions,
@@ -760,193 +557,11 @@ impl StoppingReplay {
     }
 }
 
-/// Simulates one batch on the scalar kernel: a fresh [`ZeroDelaySim`] over
-/// `stream_fn(root.split(batch))`. Returns `None` for an empty stream.
-fn run_scalar_batch<F, I>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    batch: u64,
-    opts: &MonteCarloOptions,
-) -> Result<Option<(f64, u64)>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.batch:{batch}"));
-    let mut sim = ZeroDelaySim::new(netlist)?;
-    let mut got = 0usize;
-    for v in stream_fn(root.split(batch)).into_iter().take(opts.batch_cycles) {
-        sim.step(&v)?;
-        got += 1;
-    }
-    if got == 0 {
-        return Ok(None);
-    }
-    let act = sim.take_activity();
-    Ok(Some((model.total_power_uw(&act), act.cycles)))
-}
-
-/// Simulates `lanes` consecutive batches (`base..base + lanes`) on one
-/// bit-parallel [`WideSim`]: lane `l` consumes `stream_fn(root.split(base
-/// + l))`, exactly the vectors the scalar kernel would feed batch `base +
-/// l`. Lanes whose streams end early are masked out of later steps, and a
-/// ragged group (`lanes < W::LANES`, the tail of a batch budget that is
-/// not a multiple of the width) starts with its unused trailing lanes
-/// already dead, so each simulated lane's activity — and therefore its
-/// power sample — is bit-identical to a scalar run of the same stream.
-fn run_packed_word<W: Word, F, I>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    base: u64,
-    lanes: usize,
-    opts: &MonteCarloOptions,
-) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.word:{base}+{lanes}"));
-    let width = netlist.input_count();
-    let mut sim = WideSim::<W>::new(netlist)?;
-    let mut iters: Vec<I::IntoIter> =
-        (0..lanes).map(|l| stream_fn(root.split(base + l as u64)).into_iter()).collect();
-    let mut got = vec![0u64; lanes];
-    let mut words = vec![W::zero(); width];
-    // Lanes still consuming their streams; a lane that returns `None` once
-    // stays dead (iterator contract), matching the scalar `for` loop.
-    let mut live = W::low_mask(lanes);
-    for _ in 0..opts.batch_cycles {
-        words.iter_mut().for_each(|w| *w = W::zero());
-        let mut active = W::zero();
-        for (l, it) in iters.iter_mut().enumerate() {
-            if !live.lane(l) {
-                continue;
-            }
-            if let Some(v) = it.next() {
-                if v.len() != width {
-                    return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
-                }
-                for (i, &b) in v.iter().enumerate() {
-                    words[i].set_lane(l, b);
-                }
-                active.set_lane(l, true);
-                got[l] += 1;
-            }
-        }
-        if active.is_zero() {
-            break;
-        }
-        sim.step_masked(&words, active)?;
-        live = active;
-    }
-    let samples = sim.take_lane_powers(model);
-    Ok((0..lanes).map(|l| if got[l] == 0 { None } else { Some(samples[l]) }).collect())
-}
-
-/// Simulates one glitch batch on the scalar timed kernel: a fresh
-/// [`EventDrivenSim`] over `stream_fn(root.split(batch))`. Returns `None`
-/// for an empty stream.
-#[allow(clippy::too_many_arguments)]
-fn run_scalar_glitch_batch<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    batch: u64,
-    opts: &MonteCarloOptions,
-) -> Result<Option<(f64, u64)>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.glitch_batch:{batch}"));
-    let mut sim = EventDrivenSim::new(netlist, lib)?;
-    let mut got = 0usize;
-    for v in stream_fn(root.split(batch)).into_iter().take(opts.batch_cycles) {
-        sim.step(&v)?;
-        got += 1;
-    }
-    if got == 0 {
-        return Ok(None);
-    }
-    let act = sim.take_activity();
-    Ok(Some((model.total_power_uw(&act.activity), act.activity.cycles)))
-}
-
-/// Simulates `lanes` consecutive glitch batches on one [`WideTimedSim`],
-/// with the same lane/stream mapping, end-of-stream masking, and
-/// ragged-group handling as [`run_packed_word`]. Each simulated lane's
-/// timed activity — and therefore its glitch-aware power sample — is
-/// bit-identical to a scalar [`EventDrivenSim`] run of the same stream.
-#[allow(clippy::too_many_arguments)]
-fn run_packed_glitch_word<W: Word, F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    base: u64,
-    lanes: usize,
-    opts: &MonteCarloOptions,
-) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.glitch_word:{base}+{lanes}"));
-    let width = netlist.input_count();
-    let mut sim = WideTimedSim::<W>::new(netlist, lib)?;
-    let mut iters: Vec<I::IntoIter> =
-        (0..lanes).map(|l| stream_fn(root.split(base + l as u64)).into_iter()).collect();
-    let mut got = vec![0u64; lanes];
-    let mut words = vec![W::zero(); width];
-    let mut live = W::low_mask(lanes);
-    for _ in 0..opts.batch_cycles {
-        words.iter_mut().for_each(|w| *w = W::zero());
-        let mut active = W::zero();
-        for (l, it) in iters.iter_mut().enumerate() {
-            if !live.lane(l) {
-                continue;
-            }
-            if let Some(v) = it.next() {
-                if v.len() != width {
-                    return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
-                }
-                for (i, &b) in v.iter().enumerate() {
-                    words[i].set_lane(l, b);
-                }
-                active.set_lane(l, true);
-                got[l] += 1;
-            }
-        }
-        if active.is_zero() {
-            break;
-        }
-        sim.step_masked(&words, active)?;
-        live = active;
-    }
-    let samples = sim.take_lane_powers(model);
-    Ok((0..lanes).map(|l| if got[l] == 0 { None } else { Some(samples[l]) }).collect())
-}
-
-/// One tenant's lane assignment inside a multi-tenant packed word: batch
-/// `batch` of the Monte-Carlo job rooted at `seed`, simulated for
-/// `cycles` input vectors.
-///
-/// See [`simulate_packed_lanes`]. Lane `l` of the word consumes
+/// One lane of a [`simulate_lanes`] word: batch `batch` of the
+/// Monte-Carlo job rooted at `seed`, simulated for `cycles` vectors of
 /// `stream_fn(Rng::seed_from_u64(seed).split(batch))` — exactly the
-/// stream batch `batch` of an offline run with root seed `seed` consumes
-/// — so requests from *different* jobs (different seeds, different cycle
-/// budgets) can share one word without perturbing each other.
+/// stream that batch of a seeded run consumes, so requests of different
+/// jobs can share one word without perturbing each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneRequest {
     /// Root seed of the owning Monte-Carlo job.
@@ -957,36 +572,36 @@ pub struct LaneRequest {
     pub cycles: usize,
 }
 
-/// Simulates one packed word whose lanes belong to arbitrary independent
-/// Monte-Carlo batches — the **multi-tenant lane packer** primitive.
+/// Simulates independent Monte-Carlo batches, one per [`LaneRequest`],
+/// under `delay` at lane width `width` — the word runner under both the
+/// seeded engine and the estimation server's multi-tenant lane packer.
 ///
-/// Each lane `l` runs batch `lanes[l]`: a fresh stream split from that
-/// lane's own root seed, stepped for that lane's own cycle budget, then
-/// masked out (the prefix-closed active-set contract of
-/// [`WideSim::step_masked`]). Because a lane's toggle counters are a pure
-/// function of its own stream, the returned per-lane `(power, cycles)`
-/// sample is **bit-identical** to the same batch simulated alone — by the
-/// scalar kernel, by a solo packed run, or packed next to any other
-/// tenants. Feeding each job's samples through a [`StoppingReplay`] in
-/// batch order therefore reproduces the offline
-/// [`monte_carlo_power_seeded_threads_kernel`] result exactly.
+/// Each lane runs its own split stream for its own cycle budget, then is
+/// masked out (the prefix-closed contract of [`WideSim::step_masked`]),
+/// so its `(power, cycles)` sample is **bit-identical** to the same batch
+/// simulated alone, whatever its neighbours. Replaying each job's samples
+/// through a [`StoppingReplay`] in batch order therefore reproduces the
+/// seeded engine exactly.
 ///
-/// `kernel` supplies a pre-compiled instruction stream (a kernel-cache
-/// hit); `None` compiles from scratch. A lane whose stream yields no
-/// vectors reports `None`, mirroring the engine's empty-stream signal.
+/// [`McKernel::Scalar`] runs each request on its own scalar oracle;
+/// [`McKernel::Auto`] resolves against `lanes.len()`; requests beyond one
+/// word run as consecutive words. `kernel` is a pre-compiled instruction
+/// stream (a kernel-cache hit); `None` compiles from scratch. A lane
+/// whose stream yields no vectors reports `None`.
 ///
 /// # Errors
 ///
 /// As [`monte_carlo_power_seeded_threads_kernel`], plus
-/// [`NetlistError::KernelMismatch`] for a foreign `kernel`.
-///
-/// # Panics
-///
-/// Panics if `lanes.len() > W::LANES` (callers pack at most one word).
-pub fn simulate_packed_lanes<W: Word, F, I>(
+/// [`NetlistError::KernelMismatch`] for a foreign `kernel` and
+/// [`NetlistError::InputWidthMismatch`] for a vector of the wrong width.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_lanes<F, I>(
     netlist: &Netlist,
+    lib: &Library,
     model: &PowerModel,
     kernel: Option<&CompiledKernel>,
+    delay: Delay,
+    width: McKernel,
     stream_fn: &F,
     lanes: &[LaneRequest],
 ) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
@@ -994,34 +609,142 @@ where
     F: Fn(Rng) -> I,
     I: IntoIterator<Item = Vec<bool>>,
 {
-    assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.tenant_word:{}", lanes.len()));
-    let mut sim = match kernel {
-        Some(k) => WideSim::<W>::with_kernel(netlist, k)?,
-        None => WideSim::<W>::new(netlist)?,
+    type Runner<'n, F> = fn(
+        &'n Netlist,
+        &Library,
+        &PowerModel,
+        Option<&CompiledKernel>,
+        &F,
+        &[LaneRequest],
+    ) -> Result<Vec<Option<(f64, u64)>>, NetlistError>;
+    // One dispatch per call; the step loop below is monomorphized.
+    let run: Runner<'_, F> = match (delay, width.resolve(lanes.len())) {
+        (Delay::ZeroDelay, McKernel::Scalar) => run_words::<ZeroDelaySim, F, I>,
+        (Delay::ZeroDelay, McKernel::Packed64) => run_words::<WideSim<u64>, F, I>,
+        (Delay::ZeroDelay, McKernel::Packed256) => run_words::<WideSim<W256>, F, I>,
+        (Delay::ZeroDelay, McKernel::Packed512) => run_words::<WideSim<W512>, F, I>,
+        (Delay::Glitch, McKernel::Scalar) => run_words::<EventDrivenSim, F, I>,
+        (Delay::Glitch, McKernel::Packed64) => run_words::<WideTimedSim<u64>, F, I>,
+        (Delay::Glitch, McKernel::Packed256) => run_words::<WideTimedSim<W256>, F, I>,
+        (Delay::Glitch, McKernel::Packed512) => run_words::<WideTimedSim<W512>, F, I>,
+        (_, McKernel::Auto) => unreachable!("resolve never returns Auto"),
     };
-    let got = run_tenant_lanes(netlist, lanes, stream_fn, |words, active| {
-        sim.step_masked(words, active)
-    })?;
-    let samples = sim.take_lane_powers(model);
-    Ok(collect_tenant_samples(&got, samples))
+    run(netlist, lib, model, kernel, stream_fn, lanes)
 }
 
-/// The glitch-aware (real-delay) sibling of [`simulate_packed_lanes`]:
-/// identical lane/stream mapping and masking on a [`WideTimedSim`], so
-/// each lane's glitch-aware power sample is bit-identical to its batch
-/// run alone under [`monte_carlo_glitch_power_seeded_threads_kernel`].
-///
-/// # Errors
-///
-/// As [`simulate_packed_lanes`].
-///
-/// # Panics
-///
-/// Panics if `lanes.len() > W::LANES`.
-pub fn simulate_packed_glitch_lanes<W: Word, F, I>(
-    netlist: &Netlist,
+/// A simulator [`simulate_lanes`] can drive: `LANES` independent lanes
+/// stepped by masked words, finalized into per-lane `(power µW, counted
+/// cycles)` samples. The scalar oracles are one-lane instances that read
+/// lane 0 of each word.
+trait LaneSim<'a>: Sized {
+    type W: Word;
+    const LANES: usize;
+    /// Trace span name of one instance's run.
+    const SPAN: &'static str;
+    /// A fresh simulator, from `kernel` when given.
+    fn build(
+        netlist: &'a Netlist,
+        kernel: Option<&CompiledKernel>,
+        lib: &Library,
+    ) -> Result<Self, NetlistError>;
+    /// One clock cycle of the lanes set in `active`.
+    fn step(&mut self, inputs: &[Self::W], active: Self::W) -> Result<(), NetlistError>;
+    /// Per-lane `(power µW, cycles)` of the run so far.
+    fn lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)>;
+}
+
+impl<'a, W: Word> LaneSim<'a> for WideSim<'a, W> {
+    type W = W;
+    const LANES: usize = W::LANES;
+    const SPAN: &'static str = "mc.word";
+    fn build(
+        netlist: &'a Netlist,
+        kernel: Option<&CompiledKernel>,
+        _lib: &Library,
+    ) -> Result<Self, NetlistError> {
+        match kernel {
+            Some(k) => WideSim::with_kernel(netlist, k),
+            None => WideSim::new(netlist),
+        }
+    }
+    fn step(&mut self, inputs: &[W], active: W) -> Result<(), NetlistError> {
+        self.step_masked(inputs, active)
+    }
+    fn lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
+        self.take_lane_powers(model)
+    }
+}
+
+impl<'a, W: Word> LaneSim<'a> for WideTimedSim<'a, W> {
+    type W = W;
+    const LANES: usize = W::LANES;
+    const SPAN: &'static str = "mc.glitch_word";
+    fn build(
+        netlist: &'a Netlist,
+        kernel: Option<&CompiledKernel>,
+        lib: &Library,
+    ) -> Result<Self, NetlistError> {
+        match kernel {
+            Some(k) => WideTimedSim::with_kernel(netlist, lib, k),
+            None => WideTimedSim::new(netlist, lib),
+        }
+    }
+    fn step(&mut self, inputs: &[W], active: W) -> Result<(), NetlistError> {
+        self.step_masked(inputs, active)
+    }
+    fn lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
+        self.take_lane_powers(model)
+    }
+}
+
+impl<'a> LaneSim<'a> for ZeroDelaySim<'a> {
+    type W = u64;
+    const LANES: usize = 1;
+    const SPAN: &'static str = "mc.batch";
+    fn build(
+        netlist: &'a Netlist,
+        kernel: Option<&CompiledKernel>,
+        _lib: &Library,
+    ) -> Result<Self, NetlistError> {
+        kernel.map_or(Ok(()), |k| k.check_matches(netlist))?;
+        ZeroDelaySim::new(netlist)
+    }
+    fn step(&mut self, inputs: &[u64], _active: u64) -> Result<(), NetlistError> {
+        ZeroDelaySim::step(self, &inputs.iter().map(|w| w.lane(0)).collect::<Vec<_>>())
+    }
+    fn lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
+        let act = self.take_activity();
+        vec![(model.total_power_uw(&act), act.cycles)]
+    }
+}
+
+impl<'a> LaneSim<'a> for EventDrivenSim<'a> {
+    type W = u64;
+    const LANES: usize = 1;
+    const SPAN: &'static str = "mc.glitch_batch";
+    fn build(
+        netlist: &'a Netlist,
+        kernel: Option<&CompiledKernel>,
+        lib: &Library,
+    ) -> Result<Self, NetlistError> {
+        kernel.map_or(Ok(()), |k| k.check_matches(netlist))?;
+        EventDrivenSim::new(netlist, lib)
+    }
+    fn step(&mut self, inputs: &[u64], _active: u64) -> Result<(), NetlistError> {
+        EventDrivenSim::step(self, &inputs.iter().map(|w| w.lane(0)).collect::<Vec<_>>())
+    }
+    fn lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
+        let act = self.take_activity().activity;
+        vec![(model.total_power_uw(&act), act.cycles)]
+    }
+}
+
+/// The one word runner: chunks `lanes` into `S::LANES`-lane words and
+/// steps each word until every lane has spent its cycle budget or ended
+/// its stream. A ragged word (fewer requests than lanes) starts with its
+/// unused trailing lanes already dead.
+fn run_words<'a, S, F, I>(
+    netlist: &'a Netlist,
     lib: &Library,
     model: &PowerModel,
     kernel: Option<&CompiledKernel>,
@@ -1029,82 +752,58 @@ pub fn simulate_packed_glitch_lanes<W: Word, F, I>(
     lanes: &[LaneRequest],
 ) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
 where
+    S: LaneSim<'a>,
     F: Fn(Rng) -> I,
     I: IntoIterator<Item = Vec<bool>>,
-{
-    assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.tenant_glitch_word:{}", lanes.len()));
-    let mut sim = match kernel {
-        Some(k) => WideTimedSim::<W>::with_kernel(netlist, lib, k)?,
-        None => WideTimedSim::<W>::new(netlist, lib)?,
-    };
-    let got = run_tenant_lanes(netlist, lanes, stream_fn, |words, active| {
-        sim.step_masked(words, active)
-    })?;
-    let samples = sim.take_lane_powers(model);
-    Ok(collect_tenant_samples(&got, samples))
-}
-
-/// The shared stepping loop of the multi-tenant packers: feeds each lane
-/// its own split stream for its own cycle budget, with the same
-/// end-of-stream masking and word assembly as [`run_packed_word`].
-/// Returns the vectors consumed per lane.
-fn run_tenant_lanes<F, I, W, S>(
-    netlist: &Netlist,
-    lanes: &[LaneRequest],
-    stream_fn: &F,
-    mut step_masked: S,
-) -> Result<Vec<usize>, NetlistError>
-where
-    F: Fn(Rng) -> I,
-    I: IntoIterator<Item = Vec<bool>>,
-    W: Word,
-    S: FnMut(&[W], W) -> Result<(), NetlistError>,
 {
     let width = netlist.input_count();
-    let mut iters: Vec<I::IntoIter> = lanes
-        .iter()
-        .map(|r| stream_fn(Rng::seed_from_u64(r.seed).split(r.batch)).into_iter())
-        .collect();
-    let mut got = vec![0usize; lanes.len()];
-    let mut words = vec![W::zero(); width];
-    let mut live = W::low_mask(lanes.len());
-    let max_cycles = lanes.iter().map(|r| r.cycles).max().unwrap_or(0);
-    for _ in 0..max_cycles {
-        words.iter_mut().for_each(|w| *w = W::zero());
-        let mut active = W::zero();
-        for (l, it) in iters.iter_mut().enumerate() {
-            // A lane past its own budget (or whose stream died) stays
-            // masked: active sets are prefix-closed per lane.
-            if !live.lane(l) || got[l] >= lanes[l].cycles {
-                continue;
-            }
-            if let Some(v) = it.next() {
-                if v.len() != width {
-                    return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
+    let mut out = Vec::with_capacity(lanes.len());
+    for word in lanes.chunks(S::LANES) {
+        let _batch_t = obs::MC_BATCH_NS.time();
+        let _span =
+            trace::span_dyn("mc", || format!("{}:{}+{}", S::SPAN, word[0].batch, word.len()));
+        let mut sim = S::build(netlist, kernel, lib)?;
+        let mut iters: Vec<I::IntoIter> = word
+            .iter()
+            .map(|r| stream_fn(Rng::seed_from_u64(r.seed).split(r.batch)).into_iter())
+            .collect();
+        let mut got = vec![0usize; word.len()];
+        let mut words = vec![S::W::zero(); width];
+        let mut live = S::W::low_mask(word.len());
+        let max_cycles = word.iter().map(|r| r.cycles).max().unwrap_or(0);
+        for _ in 0..max_cycles {
+            words.iter_mut().for_each(|w| *w = S::W::zero());
+            let mut active = S::W::zero();
+            for (l, it) in iters.iter_mut().enumerate() {
+                // A lane past its own budget (or whose stream died) stays
+                // masked: active sets are prefix-closed per lane.
+                if !live.lane(l) || got[l] >= word[l].cycles {
+                    continue;
                 }
-                for (i, &b) in v.iter().enumerate() {
-                    words[i].set_lane(l, b);
+                if let Some(v) = it.next() {
+                    if v.len() != width {
+                        return Err(NetlistError::InputWidthMismatch {
+                            got: v.len(),
+                            expected: width,
+                        });
+                    }
+                    for (i, &b) in v.iter().enumerate() {
+                        words[i].set_lane(l, b);
+                    }
+                    active.set_lane(l, true);
+                    got[l] += 1;
                 }
-                active.set_lane(l, true);
-                got[l] += 1;
             }
+            if active.is_zero() {
+                break;
+            }
+            sim.step(&words, active)?;
+            live = active;
         }
-        if active.is_zero() {
-            break;
-        }
-        step_masked(&words, active)?;
-        live = active;
+        let samples = sim.lane_powers(model);
+        out.extend(got.iter().zip(samples).map(|(&g, s)| (g > 0).then_some(s)));
     }
-    Ok(got)
-}
-
-/// Maps per-lane `(power, cycles)` simulator outputs back to requests,
-/// with `None` for lanes that consumed no vectors — the same
-/// empty-stream signal [`run_packed_word`] reports.
-fn collect_tenant_samples(got: &[usize], samples: Vec<(f64, u64)>) -> Vec<Option<(f64, u64)>> {
-    got.iter().enumerate().map(|(l, &g)| if g == 0 { None } else { Some(samples[l]) }).collect()
+    Ok(out)
 }
 
 fn mean_half_width(samples: &[f64], z: f64) -> (f64, f64) {
@@ -1120,6 +819,7 @@ fn mean_half_width(samples: &[f64], z: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim64timed::TimedKernel;
     use crate::streams;
 
     fn adder() -> Netlist {
@@ -1186,13 +886,14 @@ mod tests {
         let w = nl.input_count();
         let opts = MonteCarloOptions::default();
         let run = |threads: usize| {
-            monte_carlo_power_seeded_threads(
+            monte_carlo_power_seeded_threads_kernel(
                 &nl,
                 &lib,
                 |rng| streams::random_rng(rng, w),
                 99,
                 &opts,
                 threads,
+                McKernel::Auto,
             )
             .unwrap()
         };
@@ -1405,13 +1106,14 @@ mod tests {
         let nl = adder();
         let lib = Library::default();
         let w = nl.input_count();
-        let err = monte_carlo_power_seeded_threads(
+        let err = monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             99,
             &MonteCarloOptions::default(),
             0,
+            McKernel::Auto,
         );
         assert!(matches!(err, Err(NetlistError::InvalidThreadCount { .. })), "got {err:?}");
     }
@@ -1446,13 +1148,14 @@ mod tests {
         assert_eq!(scalar, run(TimedKernel::Scalar, 3));
         // Glitches make real-delay power strictly exceed zero-delay power
         // for the same stimulus distribution.
-        let zd = monte_carlo_power_seeded_threads(
+        let zd = monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             21,
             &opts,
             2,
+            McKernel::Auto,
         )
         .unwrap();
         assert!(scalar.power_uw > zd.power_uw, "glitch {} vs zd {}", scalar.power_uw, zd.power_uw);
@@ -1479,6 +1182,35 @@ mod tests {
         assert!(r.batches > 0);
     }
 
+    /// Runs `lanes` through [`simulate_lanes`] and checks every lane
+    /// against the same request run alone on the scalar oracle, at every
+    /// delay model and width.
+    fn assert_lanes_match_solo(nl: &Netlist, lanes: &[LaneRequest]) {
+        let lib = Library::default();
+        let w = nl.input_count();
+        let model = PowerModel::new(nl, &lib);
+        let stream_fn = |rng: Rng| streams::random_rng(rng, w);
+        let kernel = CompiledKernel::compile(nl).unwrap();
+        let run = |delay, width, kernel, lanes: &[LaneRequest]| {
+            simulate_lanes(nl, &lib, &model, kernel, delay, width, &stream_fn, lanes).unwrap()
+        };
+        for delay in [Delay::ZeroDelay, Delay::Glitch] {
+            let solo: Vec<_> = lanes
+                .iter()
+                .map(|r| run(delay, McKernel::Scalar, None, std::slice::from_ref(r))[0])
+                .collect();
+            for width in
+                [McKernel::Scalar, McKernel::Packed64, McKernel::Packed256, McKernel::Packed512]
+            {
+                let packed = run(delay, width, Some(&kernel), lanes);
+                for (l, r) in lanes.iter().enumerate() {
+                    assert_eq!(packed[l], solo[l], "{delay:?} {width:?} lane {l} ({r:?})");
+                    assert!(packed[l].is_some());
+                }
+            }
+        }
+    }
+
     #[test]
     fn tenant_lanes_are_bit_identical_to_solo_batches() {
         // Heterogeneous tenants — different root seeds, batch indices,
@@ -1495,38 +1227,40 @@ mod tests {
             LaneRequest { seed: 99, batch: 3, cycles: 60 },
             LaneRequest { seed: 5, batch: 1, cycles: 1 },
         ];
-        let kernel = CompiledKernel::compile(&nl).unwrap();
-        let packed =
-            simulate_packed_lanes::<u64, _, _>(&nl, &model, Some(&kernel), &stream_fn, &lanes)
-                .unwrap();
-        for (l, r) in lanes.iter().enumerate() {
-            let solo = run_scalar_batch(
-                &nl,
-                &model,
-                &stream_fn,
-                &Rng::seed_from_u64(r.seed),
-                r.batch,
-                &MonteCarloOptions { batch_cycles: r.cycles, ..Default::default() },
-            )
-            .unwrap();
-            assert_eq!(packed[l], solo, "lane {l} ({r:?})");
-            assert!(packed[l].is_some());
-        }
+        assert_lanes_match_solo(&nl, &lanes);
+        // Mixed budgets over more requests than one 64-lane word: the
+        // second word (and every wider word) is ragged.
+        let many: Vec<LaneRequest> = (0..70u64)
+            .map(|i| LaneRequest { seed: 7 + i % 3, batch: i, cycles: 1 + (i as usize * 7) % 40 })
+            .collect();
+        assert_lanes_match_solo(&nl, &many);
         // Packing next to *different* neighbors must not change a sample.
-        let alone =
-            simulate_packed_lanes::<u64, _, _>(&nl, &model, None, &stream_fn, &lanes[..1]).unwrap();
+        let run = |kernel, lanes: &[LaneRequest]| {
+            simulate_lanes(
+                &nl,
+                &lib,
+                &model,
+                kernel,
+                Delay::ZeroDelay,
+                McKernel::Packed64,
+                &stream_fn,
+                lanes,
+            )
+            .unwrap()
+        };
+        let kernel = CompiledKernel::compile(&nl).unwrap();
+        let packed = run(Some(&kernel), &lanes);
+        let alone = run(None, &lanes[..1]);
         assert_eq!(alone[0], packed[0]);
-        // Wider words agree too.
-        let wide =
-            simulate_packed_lanes::<W256, _, _>(&nl, &model, Some(&kernel), &stream_fn, &lanes)
-                .unwrap();
-        assert_eq!(wide, packed);
         // An empty-stream lane reports None without disturbing neighbors.
         let with_dead = [lanes[0], lanes[1]];
-        let dead = simulate_packed_lanes::<u64, _, _>(
+        let dead = simulate_lanes(
             &nl,
+            &lib,
             &model,
             None,
+            Delay::ZeroDelay,
+            McKernel::Packed64,
             &|rng: Rng| {
                 let s = rng.clone().next_u64();
                 let take = if s == Rng::seed_from_u64(0x1997).split(7).next_u64() { 0 } else { 60 };
@@ -1542,37 +1276,21 @@ mod tests {
     #[test]
     fn tenant_glitch_lanes_are_bit_identical_to_solo_batches() {
         let nl = adder();
-        let lib = Library::default();
-        let w = nl.input_count();
-        let model = PowerModel::new(&nl, &lib);
-        let stream_fn = |rng: Rng| streams::random_rng(rng, w);
         let lanes = [
             LaneRequest { seed: 33, batch: 2, cycles: 15 },
             LaneRequest { seed: 4242, batch: 0, cycles: 40 },
         ];
-        let kernel = CompiledKernel::compile(&nl).unwrap();
-        let packed = simulate_packed_glitch_lanes::<u64, _, _>(
-            &nl,
-            &lib,
-            &model,
-            Some(&kernel),
-            &stream_fn,
-            &lanes,
-        )
-        .unwrap();
-        for (l, r) in lanes.iter().enumerate() {
-            let solo = run_scalar_glitch_batch(
-                &nl,
-                &lib,
-                &model,
-                &stream_fn,
-                &Rng::seed_from_u64(r.seed),
-                r.batch,
-                &MonteCarloOptions { batch_cycles: r.cycles, ..Default::default() },
-            )
-            .unwrap();
-            assert_eq!(packed[l], solo, "lane {l} ({r:?})");
-        }
+        assert_lanes_match_solo(&nl, &lanes);
+        // A multiplier, where glitch and zero-delay samples differ.
+        let mut mul = Netlist::new();
+        let a = mul.input_bus("a", 4);
+        let b = mul.input_bus("b", 4);
+        let p = crate::gen::array_multiplier(&mut mul, &a, &b);
+        mul.output_bus("p", &p);
+        let mixed: Vec<LaneRequest> = (0..5u64)
+            .map(|i| LaneRequest { seed: 21, batch: i, cycles: 10 + 9 * i as usize })
+            .collect();
+        assert_lanes_match_solo(&mul, &mixed);
     }
 
     #[test]
@@ -1584,10 +1302,13 @@ mod tests {
         let lib = Library::default();
         let model = PowerModel::new(&nl, &lib);
         let kernel = CompiledKernel::compile(&other).unwrap();
-        let err = simulate_packed_lanes::<u64, _, _>(
+        let err = simulate_lanes(
             &nl,
+            &lib,
             &model,
             Some(&kernel),
+            Delay::ZeroDelay,
+            McKernel::Packed64,
             &|rng: Rng| streams::random_rng(rng, nl.input_count()),
             &[LaneRequest { seed: 1, batch: 0, cycles: 5 }],
         );
@@ -1643,9 +1364,17 @@ mod tests {
                 .iter()
                 .map(|&j| LaneRequest { seed: jobs[j].0, batch, cycles: jobs[j].1.batch_cycles })
                 .collect();
-            let samples =
-                simulate_packed_lanes::<u64, _, _>(&nl, &model, Some(&kernel), &stream_fn, &lanes)
-                    .unwrap();
+            let samples = simulate_lanes(
+                &nl,
+                &lib,
+                &model,
+                Some(&kernel),
+                Delay::ZeroDelay,
+                McKernel::Packed64,
+                &stream_fn,
+                &lanes,
+            )
+            .unwrap();
             for (slot, &j) in live.iter().enumerate() {
                 let (power, cycles) = samples[slot].expect("random streams never end");
                 replays[j].push(power, cycles);
@@ -1676,7 +1405,7 @@ mod tests {
         assert_eq!(r.push(99.0, 10).cloned().unwrap(), done);
         assert_eq!(r.finish().unwrap(), done);
         // The exported CI arithmetic is the engine's own.
-        let (mean, half) = mean_ci_half_width(&[1.0, 2.0, 3.0], opts.z);
+        let (mean, half) = mean_half_width(&[1.0, 2.0, 3.0], opts.z);
         assert_eq!((mean, half), (done.power_uw, done.half_width_uw));
         // No samples -> EmptyStream, like the engine.
         let empty = StoppingReplay::new(&opts);

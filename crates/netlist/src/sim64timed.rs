@@ -13,8 +13,8 @@
 //! word-wide gate evaluation where the scalar engine would pay up to one
 //! heap pop per lane. `TimedSim64` is the `u64` instantiation of the
 //! width-generic [`WideTimedSim`](crate::WideTimedSim) in
-//! [`crate::simwide`]; [`TimedKernel::Packed256`]/[`TimedKernel::Packed512`]
-//! select the wider words and [`TimedKernel::Auto`] (the default) picks a
+//! [`crate::simwide`]; [`McKernel::Packed256`]/[`McKernel::Packed512`]
+//! select the wider words and [`McKernel::Auto`] (the default) picks a
 //! width from the workload size.
 //!
 //! # Determinism contract
@@ -43,6 +43,7 @@
 use crate::error::NetlistError;
 use crate::event::{EventDrivenSim, TimedActivity};
 use crate::library::Library;
+use crate::montecarlo::McKernel;
 use crate::netlist::Netlist;
 use crate::sim::ZeroDelaySim;
 use crate::simwide::WideTimedSim;
@@ -54,71 +55,11 @@ use crate::words::{Word, W256, W512};
 /// words.
 pub type TimedSim64<'a> = WideTimedSim<'a, u64>;
 
-/// The simulation kernel used by glitch-aware consumers
-/// ([`timed_activity`], `optimize::balance`, `optimize::retime`, the
-/// glitch Monte-Carlo entry points).
-///
-/// Every kernel produces bit-identical [`TimedActivity`] records; the
-/// packed kernels are purely wall-clock optimizations and the scalar
-/// kernel remains available as the differential oracle. Wider words
-/// amortize the per-instruction overhead over more lanes but cost more
-/// per-lane state, so [`Auto`](Self::Auto) — the default — picks the
-/// widest word the workload can fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimedKernel {
-    /// The scalar heap-based [`EventDrivenSim`] — the differential oracle.
-    Scalar,
-    /// The compiled 64-lane time-wheel [`TimedSim64`].
-    Packed64,
-    /// The compiled 256-lane time-wheel kernel ([`W256`] words).
-    Packed256,
-    /// The compiled 512-lane time-wheel kernel ([`W512`] words).
-    Packed512,
-    /// Picks a packed width from the workload size (the default): wide
-    /// enough words amortize instruction decode, but a workload smaller
-    /// than the lane count would leave lanes masked off for no gain.
-    #[default]
-    Auto,
-}
-
-impl TimedKernel {
-    /// Resolves [`Auto`](Self::Auto) against a workload of `transitions`
-    /// stream transitions (the wide differential batteries and
-    /// `DESIGN.md` document this heuristic): at least 512 transitions
-    /// fill a [`W512`] word, at least 256 fill a [`W256`] word, anything
-    /// smaller stays on `u64`. Explicit kernels resolve to themselves.
-    pub fn resolve(self, transitions: usize) -> TimedKernel {
-        match self {
-            TimedKernel::Auto => {
-                if transitions >= W512::LANES {
-                    TimedKernel::Packed512
-                } else if transitions >= W256::LANES {
-                    TimedKernel::Packed256
-                } else {
-                    TimedKernel::Packed64
-                }
-            }
-            k => k,
-        }
-    }
-
-    /// Number of stimulus lanes one step of this kernel advances (1 for
-    /// the scalar kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Auto`](Self::Auto), which has no width until
-    /// [`resolve`](Self::resolve)d against a workload.
-    pub fn lanes(self) -> usize {
-        match self {
-            TimedKernel::Scalar => 1,
-            TimedKernel::Packed64 => 64,
-            TimedKernel::Packed256 => W256::LANES,
-            TimedKernel::Packed512 => W512::LANES,
-            TimedKernel::Auto => panic!("TimedKernel::Auto must be resolved before use"),
-        }
-    }
-}
+/// The kernel of the glitch-aware consumers ([`timed_activity`],
+/// `optimize::balance`, `optimize::retime`): the same width enum as the
+/// Monte-Carlo engine. [`Auto`](McKernel::Auto) resolves against the
+/// stream's transition count, with the same 512/256/64 thresholds.
+pub type TimedKernel = McKernel;
 
 /// Profiles one input-vector stream with the chosen timed kernel and
 /// returns the glitch-decomposed activity.
@@ -128,7 +69,7 @@ impl TimedKernel {
 /// zero-delay stable-state trajectory once, then replay the stream's
 /// `N - 1` transitions [`Word::LANES`] per word on a [`WideTimedSim`] and
 /// merge the lanes (exact integer sums, so the reorganization is
-/// invisible). [`TimedKernel::Auto`] resolves to the widest word the
+/// invisible). [`McKernel::Auto`] resolves to the widest word the
 /// transition count can fill.
 ///
 /// # Errors

@@ -10,11 +10,14 @@
 //!   [`env_path`]); tests may call [`set_enabled`] directly.
 //! * **Lock-free push** — every thread records into its own fixed-capacity
 //!   ring buffer (a plain `Vec` behind a `thread_local!`, so pushes take
-//!   no lock at all). Buffers drain into a global sink when their thread
-//!   exits; the exporting thread drains its own buffer at export time.
-//!   Pushes past [`RING_CAP`] (or past the sink cap) are counted in
-//!   [`dropped`] and discarded — a runaway producer can lose events but
-//!   never grow memory without bound.
+//!   no lock at all). Worker threads drain their buffer into a global sink
+//!   with [`flush_thread`] before they finish (the buffer's TLS destructor
+//!   is only a fallback); the exporting thread drains its own buffer at
+//!   export time. Pushes past [`RING_CAP`] (or past the sink cap) are
+//!   counted in [`dropped`] and discarded — a runaway producer can lose
+//!   events but never grow memory without bound. Every push is counted in
+//!   [`emitted`], so `emitted == collected + dropped` once all threads
+//!   have flushed.
 //! * **Determinism-safe** — spans only *observe* wall-clock time; no
 //!   instrumented code path reads the trace state to make a decision, so
 //!   the workspace's bit-identical determinism contract (seed + any
@@ -23,9 +26,10 @@
 //! ## Caveat
 //!
 //! Events held by threads that are still alive (other than the exporting
-//! thread) at export time are not included. The workspace's worker pools
-//! are scoped — workers are joined before any exporter runs — so in
-//! practice only the exporting thread's buffer needs the explicit drain.
+//! thread) at export time are not included. A TLS destructor is no
+//! substitute for an explicit flush: `std::thread::scope` can return
+//! before a worker's destructors run, so the `rng::par` workers call
+//! [`flush_thread`] as their last statement.
 //!
 //! ```
 //! use hlpower_obs::trace;
@@ -75,6 +79,7 @@ pub struct TraceEvent {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static EMITTED: Counter = Counter::new();
 static RING_DROPPED: Counter = Counter::new();
 static SINK_DROPPED: Counter = Counter::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -90,8 +95,8 @@ struct ThreadRing {
     events: Vec<TraceEvent>,
 }
 
-impl Drop for ThreadRing {
-    fn drop(&mut self) {
+impl ThreadRing {
+    fn flush(&mut self) {
         if self.events.is_empty() {
             return;
         }
@@ -100,6 +105,15 @@ impl Drop for ThreadRing {
         let take = self.events.len().min(room);
         SINK_DROPPED.add((self.events.len() - take) as u64);
         sink.extend(self.events.drain(..take));
+        // Whatever did not fit was counted as dropped above.
+        self.events.clear();
+    }
+}
+
+impl Drop for ThreadRing {
+    /// Fallback only: may run after a scoped join has already returned.
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -134,6 +148,22 @@ pub fn env_path() -> Option<String> {
     }
 }
 
+/// Moves the calling thread's buffered events into the global sink.
+///
+/// Worker threads call this as their last statement, after their last
+/// span has closed: a buffer left to the thread's TLS destructor may
+/// reach the sink only after the exporter has already run.
+pub fn flush_thread() {
+    // `try_with`: a no-op if the thread's ring is already torn down.
+    let _ = RING.try_with(|ring| ring.borrow_mut().flush());
+}
+
+/// Spans emitted so far: every completed span, whether it was kept or
+/// dropped.
+pub fn emitted() -> u64 {
+    EMITTED.get()
+}
+
 /// Total events dropped so far (full per-thread ring plus full sink).
 pub fn dropped() -> u64 {
     RING_DROPPED.get() + SINK_DROPPED.get()
@@ -150,6 +180,7 @@ pub fn sink_dropped() -> u64 {
 }
 
 fn push(event: TraceEvent) {
+    EMITTED.inc();
     RING.with(|ring| {
         let mut ring = ring.borrow_mut();
         if ring.events.len() < RING_CAP {
@@ -239,10 +270,11 @@ pub fn events_for_request(id: u64) -> Vec<TraceEvent> {
     events
 }
 
-/// Clears all recorded events and the drop counters (tests and explicit
+/// Clears all recorded events and the emitted/drop counters (tests and explicit
 /// baseline resets).
 pub fn reset() {
     let _ = take_events();
+    EMITTED.reset();
     RING_DROPPED.reset();
     SINK_DROPPED.reset();
 }
@@ -413,12 +445,16 @@ mod tests {
         reset();
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _w = span("test", "worker.span");
+                {
+                    let _w = span("test", "worker.span");
+                }
+                flush_thread();
             });
         });
         let events = take_events();
         set_enabled(false);
         assert!(events.iter().any(|e| e.name == "worker.span"));
+        assert_eq!(emitted(), events.len() as u64 + dropped());
     }
 
     #[test]

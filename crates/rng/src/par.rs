@@ -119,18 +119,24 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
-                    let _ctx_guard = request_id.map(ctx::enter);
-                    let _worker_span = trace::span_dyn("pool", || format!("pool.worker:{w}"));
-                    let begin = Instant::now();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
+                    let out = {
+                        let _ctx_guard = request_id.map(ctx::enter);
+                        let _worker_span = trace::span_dyn("pool", || format!("pool.worker:{w}"));
+                        let begin = Instant::now();
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            local.push((i, f(i, &items[i])));
                         }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    (local, begin.elapsed().as_nanos() as u64)
+                        (local, begin.elapsed().as_nanos() as u64)
+                    };
+                    // The scope may return before this thread's TLS
+                    // destructors run, so hand the spans over explicitly.
+                    trace::flush_thread();
+                    out
                 })
             })
             .collect();
@@ -234,6 +240,25 @@ mod tests {
         drop(_g);
         let seen = map_with_threads(4, &items, |_, _| ctx::current_request_id());
         assert!(seen.iter().all(|&id| id.is_none()), "{seen:?}");
+    }
+
+    #[test]
+    fn worker_trace_spans_are_collected_when_map_returns() {
+        // Every span a worker emits must be in the sink by the time
+        // `map_with_threads` returns; a flush left to TLS destructors
+        // loses some of them. Repeated, since the loss is a race.
+        trace::set_enabled(true);
+        let items: Vec<usize> = (0..16).collect();
+        for round in 0..50 {
+            trace::reset();
+            map_with_threads(4, &items, |i, _| {
+                let _s = trace::span_dyn("test", || format!("par.test.item:{i}"));
+            });
+            let events = trace::take_events();
+            let items_seen = events.iter().filter(|e| e.name.starts_with("par.test.item")).count();
+            assert_eq!(items_seen, items.len(), "round {round}");
+        }
+        trace::set_enabled(false);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Because lane `l` of a packed word consumes exactly the stream batch
 //! `l` of an offline run consumes (see
-//! [`hlpower_netlist::simulate_packed_lanes`]), and the replay is the
+//! [`hlpower_netlist::simulate_lanes`]), and the replay is the
 //! engine's own stopping rule, every job's result is **bit-identical** to
 //! [`hlpower_netlist::monte_carlo_power_seeded_threads_kernel`] run
 //! offline with the same seed and options — regardless of which tenants
@@ -25,8 +25,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hlpower_netlist::{
-    simulate_packed_glitch_lanes, simulate_packed_lanes, streams, LaneRequest, MonteCarloOptions,
-    MonteCarloResult, NetlistError, StoppingReplay, W256, W512,
+    simulate_lanes, streams, Delay, LaneRequest, McKernel, MonteCarloOptions, MonteCarloResult,
+    NetlistError, StoppingReplay,
 };
 use hlpower_obs::ctx::{self, RequestCtx, Stage};
 use hlpower_obs::metrics as obs;
@@ -34,39 +34,6 @@ use hlpower_obs::trace;
 use hlpower_rng::{par, Rng};
 
 use crate::cache::CachedCircuit;
-
-/// Which simulation semantics a job runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Functional (zero-delay) switching power.
-    ZeroDelay,
-    /// Real-delay, glitch-capturing power.
-    Glitch,
-}
-
-/// The packed-word width a job's batches are simulated at. All widths
-/// produce bit-identical samples; wider words amortize more tenants per
-/// pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackWidth {
-    /// One 64-lane `u64` word per netlist input.
-    W64,
-    /// 256 lanes.
-    W256,
-    /// 512 lanes.
-    W512,
-}
-
-impl PackWidth {
-    /// Lanes per word.
-    pub fn lanes(self) -> usize {
-        match self {
-            PackWidth::W64 => 64,
-            PackWidth::W256 => 256,
-            PackWidth::W512 => 512,
-        }
-    }
-}
 
 /// Everything a request specifies about its Monte-Carlo run.
 #[derive(Debug, Clone, Copy)]
@@ -76,9 +43,11 @@ pub struct JobSpec {
     /// Stopping-rule options (batch cycles, budget, CI target).
     pub opts: MonteCarloOptions,
     /// Zero-delay or glitch-aware simulation.
-    pub mode: Mode,
-    /// Packed-word width.
-    pub width: PackWidth,
+    pub mode: Delay,
+    /// Packed-word width. All widths produce bit-identical samples;
+    /// wider words amortize more tenants per pass. [`McKernel::Auto`]
+    /// resolves against the job's `max_batches` at submission.
+    pub width: McKernel,
     /// Whether the client wants streamed interim CI updates.
     pub stream: bool,
 }
@@ -116,7 +85,7 @@ struct Job {
 impl Job {
     /// Group key: jobs pack together only when they share the circuit,
     /// the simulation semantics, and the word width.
-    fn group(&self) -> (usize, Mode, PackWidth) {
+    fn group(&self) -> (usize, Delay, McKernel) {
         (Arc::as_ptr(&self.circuit) as usize, self.spec.mode, self.spec.width)
     }
 }
@@ -170,6 +139,7 @@ impl Engine {
         ctx: Option<Arc<RequestCtx>>,
     ) -> Receiver<JobUpdate> {
         let (tx, rx) = channel();
+        let spec = JobSpec { width: spec.width.resolve(spec.opts.max_batches), ..spec };
         let job = Job {
             circuit,
             spec,
@@ -260,7 +230,7 @@ fn round(active: &mut Vec<Job>, threads: usize) {
     }
     // Group job indices by (circuit, mode, width). Insertion-ordered so
     // rounds are deterministic for a given arrival order.
-    let mut groups: Vec<((usize, Mode, PackWidth), Vec<usize>)> = Vec::new();
+    let mut groups: Vec<((usize, Delay, McKernel), Vec<usize>)> = Vec::new();
     for (i, job) in active.iter().enumerate() {
         let key = job.group();
         match groups.iter_mut().find(|(k, _)| *k == key) {
@@ -414,48 +384,22 @@ fn round(active: &mut Vec<Job>, threads: usize) {
 
 fn simulate_word(
     circuit: &CachedCircuit,
-    mode: Mode,
-    width: PackWidth,
+    mode: Delay,
+    width: McKernel,
     lanes: &[LaneRequest],
 ) -> Result<Vec<Option<(f64, u64)>>, NetlistError> {
     let w = circuit.netlist.input_count();
     let stream_fn = |rng: Rng| streams::random_rng(rng, w);
-    let (nl, model, kernel) = (&circuit.netlist, &circuit.model, Some(&circuit.kernel));
-    match (mode, width) {
-        (Mode::ZeroDelay, PackWidth::W64) => {
-            simulate_packed_lanes::<u64, _, _>(nl, model, kernel, &stream_fn, lanes)
-        }
-        (Mode::ZeroDelay, PackWidth::W256) => {
-            simulate_packed_lanes::<W256, _, _>(nl, model, kernel, &stream_fn, lanes)
-        }
-        (Mode::ZeroDelay, PackWidth::W512) => {
-            simulate_packed_lanes::<W512, _, _>(nl, model, kernel, &stream_fn, lanes)
-        }
-        (Mode::Glitch, PackWidth::W64) => simulate_packed_glitch_lanes::<u64, _, _>(
-            nl,
-            &circuit.lib,
-            model,
-            kernel,
-            &stream_fn,
-            lanes,
-        ),
-        (Mode::Glitch, PackWidth::W256) => simulate_packed_glitch_lanes::<W256, _, _>(
-            nl,
-            &circuit.lib,
-            model,
-            kernel,
-            &stream_fn,
-            lanes,
-        ),
-        (Mode::Glitch, PackWidth::W512) => simulate_packed_glitch_lanes::<W512, _, _>(
-            nl,
-            &circuit.lib,
-            model,
-            kernel,
-            &stream_fn,
-            lanes,
-        ),
-    }
+    simulate_lanes(
+        &circuit.netlist,
+        &circuit.lib,
+        &circuit.model,
+        Some(&circuit.kernel),
+        mode,
+        width,
+        &stream_fn,
+        lanes,
+    )
 }
 
 #[cfg(test)]
@@ -501,8 +445,8 @@ mod tests {
             .map(|&seed| JobSpec {
                 seed,
                 opts,
-                mode: Mode::ZeroDelay,
-                width: PackWidth::W64,
+                mode: Delay::ZeroDelay,
+                width: McKernel::Packed64,
                 stream: false,
             })
             .collect();
@@ -528,8 +472,13 @@ mod tests {
             z: 1.96,
         };
         let engine = Engine::start(1, Duration::ZERO);
-        let spec =
-            JobSpec { seed: 42, opts, mode: Mode::ZeroDelay, width: PackWidth::W64, stream: true };
+        let spec = JobSpec {
+            seed: 42,
+            opts,
+            mode: Delay::ZeroDelay,
+            width: McKernel::Packed64,
+            stream: true,
+        };
         let rx = engine.submit(Arc::clone(&circuit), spec);
         let mut interims = 0;
         let mut last_batches = 0;
@@ -563,11 +512,23 @@ mod tests {
         let engine = Engine::start(2, Duration::ZERO);
         let zd = engine.submit(
             Arc::clone(&circuit),
-            JobSpec { seed: 5, opts, mode: Mode::ZeroDelay, width: PackWidth::W256, stream: false },
+            JobSpec {
+                seed: 5,
+                opts,
+                mode: Delay::ZeroDelay,
+                width: McKernel::Packed256,
+                stream: false,
+            },
         );
         let gl = engine.submit(
             Arc::clone(&circuit),
-            JobSpec { seed: 5, opts, mode: Mode::Glitch, width: PackWidth::W64, stream: false },
+            JobSpec {
+                seed: 5,
+                opts,
+                mode: Delay::Glitch,
+                width: McKernel::Packed64,
+                stream: false,
+            },
         );
         let JobUpdate::Done(zd) = zd.recv().unwrap() else { panic!() };
         let JobUpdate::Done(gl) = gl.recv().unwrap() else { panic!() };

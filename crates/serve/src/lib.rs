@@ -38,5 +38,5 @@ pub mod http;
 pub mod server;
 
 pub use cache::{hash_source, CachedCircuit, KernelCache};
-pub use engine::{Engine, JobSpec, JobUpdate, Mode, PackWidth};
+pub use engine::{Engine, JobSpec, JobUpdate};
 pub use server::{Server, ServerConfig};

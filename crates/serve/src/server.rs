@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hlpower_netlist::{MonteCarloOptions, NetlistError};
+use hlpower_netlist::{Delay, McKernel, MonteCarloOptions, NetlistError};
 use hlpower_obs::ctx::{self, RequestCtx, Stage};
 use hlpower_obs::json::{self, Value};
 use hlpower_obs::metrics as obs;
@@ -51,7 +51,7 @@ use hlpower_obs::trace;
 
 use crate::accesslog::{AccessLog, AccessRecord};
 use crate::cache::{hash_source, CachedCircuit, KernelCache};
-use crate::engine::{Engine, JobSpec, JobUpdate, Mode, PackWidth};
+use crate::engine::{Engine, JobSpec, JobUpdate};
 use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
 
 /// Requests served per connection before the server closes it (bounds
@@ -570,8 +570,8 @@ fn parse_estimate(body: &[u8], ctx: &RequestCtx) -> Result<EstimateRequest, Stri
         return Err(field_err("`options.z` must be a finite number > 0"));
     }
     let mode = match root.get("mode").and_then(Value::as_str) {
-        None | Some("zero_delay") => Mode::ZeroDelay,
-        Some("glitch") => Mode::Glitch,
+        None | Some("zero_delay") => Delay::ZeroDelay,
+        Some("glitch") => Delay::Glitch,
         Some(other) => {
             return Err(field_err(&format!(
                 "`mode` must be `zero_delay` or `glitch`, got `{other}`"
@@ -579,9 +579,9 @@ fn parse_estimate(body: &[u8], ctx: &RequestCtx) -> Result<EstimateRequest, Stri
         }
     };
     let width = match root.get("width").and_then(Value::as_u64) {
-        None | Some(64) => PackWidth::W64,
-        Some(256) => PackWidth::W256,
-        Some(512) => PackWidth::W512,
+        None | Some(64) => McKernel::Packed64,
+        Some(256) => McKernel::Packed256,
+        Some(512) => McKernel::Packed512,
         Some(other) => {
             return Err(field_err(&format!("`width` must be 64, 256, or 512, got {other}")))
         }
@@ -742,8 +742,8 @@ fn result_value(
             "mode".to_string(),
             Value::Str(
                 match spec.mode {
-                    Mode::ZeroDelay => "zero_delay",
-                    Mode::Glitch => "glitch",
+                    Delay::ZeroDelay => "zero_delay",
+                    Delay::Glitch => "glitch",
                 }
                 .to_string(),
             ),

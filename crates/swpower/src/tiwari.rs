@@ -123,9 +123,15 @@ pub fn characterize(config: &MachineConfig) -> TiwariModel {
             state.insert((a, b), overhead.max(0.0));
         }
     }
-    // Fill jump pairs with the mean measured overhead.
+    // Fill jump pairs with the mean measured overhead, summed in class
+    // order (never `HashMap` order) so the model is bit-reproducible.
     let mean: f64 = {
-        let vals: Vec<f64> = state.iter().filter(|(&(a, b), _)| a != b).map(|(_, &v)| v).collect();
+        let vals: Vec<f64> = classes
+            .iter()
+            .flat_map(|&a| classes.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| a != b)
+            .filter_map(|pair| state.get(&pair).copied())
+            .collect();
         if vals.is_empty() {
             0.0
         } else {
@@ -156,8 +162,13 @@ impl TiwariModel {
         for (i, &n) in stats.class_counts.iter().enumerate() {
             e += self.base_cost_pj[i] * n as f64;
         }
-        for (&pair, &n) in &stats.pair_counts {
-            e += self.state_cost_pj.get(&pair).copied().unwrap_or(0.0) * n as f64;
+        // Class order, not `HashMap` order: the sum must be reproducible.
+        for a in OpClass::all() {
+            for b in OpClass::all() {
+                if let Some(&n) = stats.pair_counts.get(&(a, b)) {
+                    e += self.state_cost_pj.get(&(a, b)).copied().unwrap_or(0.0) * n as f64;
+                }
+            }
         }
         e += self.imiss_pj * stats.imisses as f64;
         e += self.dmiss_pj * stats.dmisses as f64;
@@ -209,6 +220,28 @@ mod tests {
         let model = characterize(&MachineConfig::default());
         for (&(a, b), &v) in &model.state_cost_pj {
             assert!(v >= 0.0, "SC({a:?},{b:?}) = {v}");
+        }
+    }
+
+    #[test]
+    fn characterization_is_bit_reproducible() {
+        let config = MachineConfig::default();
+        let bits = |m: &TiwariModel| {
+            let mut v: Vec<u64> = m.base_cost_pj.iter().map(|c| c.to_bits()).collect();
+            for a in OpClass::all() {
+                for b in OpClass::all() {
+                    v.push(m.state_cost_pj[&(a, b)].to_bits());
+                }
+            }
+            v.extend([m.imiss_pj, m.dmiss_pj, m.mispredict_pj, m.stall_pj].map(f64::to_bits));
+            v
+        };
+        let first = characterize(&config);
+        let stats = Machine::new(config.clone()).run(&workloads::matmul(4), 1_000_000).unwrap();
+        for _ in 0..4 {
+            let again = characterize(&config);
+            assert_eq!(bits(&again), bits(&first));
+            assert_eq!(again.predict_pj(&stats).to_bits(), first.predict_pj(&stats).to_bits());
         }
     }
 
