@@ -8,10 +8,12 @@ cd "$(dirname "$0")"
 cargo build --release --offline
 cargo test -q --offline
 # Trace-flush race guard: worker spans must reach the sink before a
-# scoped pool returns. The loss is a race, so one green run proves
-# little; repeat the trace tests.
+# scoped pool returns, and a stopped server's connection and batcher
+# spans before its trace is exported. The loss is a race, so one green
+# run proves little; repeat the trace tests.
 for _ in $(seq 1 20); do
   cargo test -q --offline -p hlpower-obs -p hlpower-rng trace
+  cargo test -q --offline -p hlpower-serve --test trace_flush
 done
 cargo fmt --check
 # API docs must build clean: every public item is documented
@@ -37,21 +39,15 @@ HLPOWER_TRACE=results/trace.json \
 # dumps results/ingest/<stem>.json.
 cargo run --release --offline -p hlpower-bench --bin repro -- \
   --ingest examples/gray_counter4.v examples/majority.edf
-# Simulation throughput smoke: exits non-zero if the packed 64-lane
-# kernel is not faster than the scalar one (or if their Monte-Carlo
-# results are not bit-identical); dumps results/BENCH_sim.json.
-cargo bench --offline -p hlpower-bench --bench sim_throughput
-# Timed (glitch) simulation smoke: exits non-zero if the packed 64-lane
-# time-wheel kernel is not faster than the scalar event-driven simulator
-# (or if their glitch-power results are not bit-identical); dumps
-# results/BENCH_glitch.json.
-cargo bench --offline -p hlpower-bench --bench glitch_throughput
-# Wide-word kernel smoke: exits non-zero if the 256-lane Monte-Carlo
-# kernel is not faster than the 64-lane one (or if any width diverges
-# from packed64 by a single bit); dumps results/BENCH_wide.json. The
-# per-lane bit-identity battery itself runs in the test step above
-# (tests/wide_differential.rs).
-cargo bench --offline -p hlpower-bench --bench wide_throughput
+# Monte-Carlo throughput smoke, one row per kernel comparison: exits
+# non-zero if the packed 64-lane kernel is not faster than the scalar
+# one (zero-delay, and glitch), or if the 256-lane kernel is not faster
+# than the 64-lane one, on the minimum wall time over reps; every row
+# first asserts its kernels bit-identical. Dumps results/BENCH_sim.json,
+# results/BENCH_glitch.json and results/BENCH_wide.json (all three are
+# written before any gate is asserted). The per-lane bit-identity
+# battery itself runs in the test step above (tests/wide_differential.rs).
+cargo bench --offline -p hlpower-bench --bench mc_throughput
 # Optimize-pass scoring smoke: exits non-zero if incremental guard
 # candidate scoring is not faster than the from-scratch reference (the
 # two are first asserted bit-identical per candidate) or if the rewrite

@@ -2,8 +2,10 @@
 //!
 //! Library side of the `repro` binary: the experiment registry's building
 //! blocks ([`experiments`]), the result container and in-tree JSON
-//! emitter ([`report`]), and the wall-clock timing harness used by the
-//! `benches/` targets ([`timing`]).
+//! emitter ([`report`]), the wall-clock timing harness used by the
+//! `benches/` micro-benchmarks ([`timing`]), and the measurement harness
+//! behind the throughput gates and their `BENCH_*.json` files
+//! ([`record`]).
 //!
 //! Everything here is dependency-free: JSON emission is hand-rolled (see
 //! [`report::Json`]) and timing uses `std::time` directly, so `cargo
@@ -15,5 +17,6 @@ pub mod experiments;
 pub mod ingest;
 pub mod metrics;
 pub mod profile;
+pub mod record;
 pub mod report;
 pub mod timing;

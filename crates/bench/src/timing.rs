@@ -1,7 +1,5 @@
-//! A minimal wall-clock timing harness for the `benches/` targets (the
-//! in-tree replacement for the external `criterion` dependency).
-//!
-//! Usage mirrors the criterion subset the benches used:
+//! A minimal wall-clock timing harness for the `benches/`
+//! micro-benchmarks.
 //!
 //! ```no_run
 //! let mut g = hlpower_bench::timing::group("table1");
@@ -15,7 +13,7 @@
 //!
 //! * default — quick mode: short calibration, few samples; suitable as a
 //!   CI smoke test.
-//! * `--features criterion` or `HLPOWER_BENCH_FULL=1` — full mode: longer
+//! * `HLPOWER_BENCH_FULL=1` ([`record::full_mode`]) — full mode: longer
 //!   measurements, more samples, tighter medians.
 //!
 //! Setting `HLPOWER_BENCH_METRICS=1` additionally prints, after each
@@ -29,9 +27,7 @@ use std::time::{Duration, Instant};
 use hlpower_obs::metrics;
 use hlpower_obs::report::Value;
 
-fn full_mode() -> bool {
-    cfg!(feature = "criterion") || std::env::var_os("HLPOWER_BENCH_FULL").is_some()
-}
+use crate::record::{self, Stats};
 
 fn metrics_mode() -> bool {
     std::env::var_os("HLPOWER_BENCH_METRICS").is_some()
@@ -59,7 +55,7 @@ impl Group {
             println!("group {}", self.name);
         }
         self.rows += 1;
-        let (sample_time, samples) = if full_mode() {
+        let (sample_time, samples) = if record::full_mode() {
             (Duration::from_millis(300), 20)
         } else {
             (Duration::from_millis(30), 5)
@@ -71,7 +67,7 @@ impl Group {
         let iters = (sample_time.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
         let baseline = metrics_mode().then(metrics::snapshot);
         let mut total_iters = 0u64;
-        let mut per_iter_ns: Vec<f64> = (0..samples)
+        let per_iter_ns: Vec<f64> = (0..samples)
             .map(|_| {
                 let t = Instant::now();
                 for _ in 0..iters {
@@ -84,14 +80,12 @@ impl Group {
         if let Some(baseline) = baseline {
             print_counter_deltas(&metrics::snapshot().delta(&baseline), total_iters);
         }
-        per_iter_ns.sort_by(f64::total_cmp);
-        let median = per_iter_ns[per_iter_ns.len() / 2];
-        let (lo, hi) = (per_iter_ns[0], per_iter_ns[per_iter_ns.len() - 1]);
+        let stats = Stats::of(&per_iter_ns);
         println!(
             "  {name:<28} {:>12}/iter  (range {} .. {}, {iters} iters x {samples} samples)",
-            fmt_ns(median),
-            fmt_ns(lo),
-            fmt_ns(hi)
+            fmt_ns(stats.median),
+            fmt_ns(stats.min),
+            fmt_ns(stats.max)
         );
     }
 

@@ -311,6 +311,11 @@ fn round(active: &mut Vec<Job>, threads: usize) {
             let _span = trace::span("serve", "serve.word");
             simulate_word(&circuit, mode, width, &w.lanes)
         });
+        // A one-thread pool simulates inline on the batcher: its spans
+        // must reach the sink before any tenant sees its result, or a
+        // client that stops the server right after its last response
+        // would export a trace without them.
+        trace::flush_thread();
         let sim_ns = sim_started.elapsed().as_nanos() as u64;
         obs::SERVE_LANES_BUSY.sub(round_lanes);
         for &i in members {

@@ -102,9 +102,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.join();
     println!("hlpower-serve stopped");
     // Export the span trace after the drain so every connection's and
-    // worker's spans are in it; validate the round-trip and fail loudly
-    // on any drop — a silently truncated trace would masquerade as a
-    // quiet run.
+    // worker's spans are in it (connection threads and the batcher flush
+    // their rings before the drain can finish); validate the round-trip
+    // and fail loudly on any drop or on a span that was emitted but
+    // neither written nor counted as dropped — a silently truncated
+    // trace would masquerade as a quiet run.
     if let Some(path) = trace_path {
         let n = trace::write_chrome_json(&path)
             .map_err(|e| format!("could not write trace to {path}: {e}"))?;
@@ -115,7 +117,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             return Err(format!("trace round-trip mismatch: wrote {n}, parsed {}", parsed.len()));
         }
         println!("trace: {n} span(s) written to {path}");
-        let dropped = trace::dropped();
+        let (emitted, dropped) = (trace::emitted(), trace::dropped());
+        if emitted != n as u64 + dropped {
+            return Err(format!("{emitted} span(s) emitted but {n} written and {dropped} dropped"));
+        }
         if dropped > 0 {
             return Err(format!("{dropped} trace event(s) dropped (ring/sink overflow)"));
         }

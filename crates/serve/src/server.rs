@@ -212,6 +212,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     // defense so a panic never kills the server.
                     obs::SERVE_REQUESTS_ERR.inc();
                 }
+                // Flush before the drain can see this connection finish:
+                // the detached thread's TLS destructor may run only after
+                // the trace has been exported.
+                trace::flush_thread();
                 conn_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             });
         if spawned.is_err() {
@@ -271,7 +275,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         let keep = served < MAX_KEEPALIVE_REQUESTS
             && req.keep_alive()
             && !shared.shutdown.load(Ordering::SeqCst);
-        if !handle_request(&req, &mut writer, shared, &peer, keep) {
+        let more = handle_request(&req, &mut writer, shared, &peer, keep);
+        // A keep-alive connection left idle at shutdown can outlive the
+        // drain and the trace export; its finished requests' spans must
+        // not wait in its ring.
+        trace::flush_thread();
+        if !more {
             return;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
