@@ -154,12 +154,7 @@ pub fn path_balancing() -> ExperimentResult {
         // Sweep selectivity: pad only the glitchiest gates, short chains.
         let mut best: Option<balance::BalanceOutcome> = None;
         for (min_glitches, max_chain) in [(2u64, 8usize), (20, 3), (60, 2), (120, 2)] {
-            let opts = balance::BalanceOptions {
-                tolerance_ps: 60.0,
-                min_glitches,
-                max_chain,
-                ..balance::BalanceOptions::default()
-            };
+            let opts = balance::BalanceOptions { tolerance_ps: 60.0, min_glitches, max_chain };
             let o = balance::balance_paths(&nl, &lib, &stream, &opts).expect("acyclic");
             if best.as_ref().is_none_or(|b| o.balanced_uw < b.balanced_uw) {
                 best = Some(o);

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use hlpower_obs::metrics as obs;
 
 use crate::error::NetlistError;
-use crate::library::Library;
+use crate::library::{GateKind, Library};
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::power::PowerReport;
 use crate::sim::Activity;
@@ -134,17 +134,19 @@ impl TimedActivity {
     }
 }
 
-/// Per-gate transport delays derived from a library.
+/// Transport delay of one gate of `kind` with `fanin` inputs under `lib`,
+/// rounded to whole picoseconds and at least 1.
+pub(crate) fn transport_delay_ps(lib: &Library, kind: GateKind, fanin: usize) -> u64 {
+    let c = lib.cell(kind);
+    (c.delay_ps + c.delay_per_fanin_ps * fanin.saturating_sub(1) as f64).round().max(1.0) as u64
+}
+
+/// Per-gate transport delays derived from a library (0 for non-gates).
 pub(crate) fn gate_delays_ps(netlist: &Netlist, lib: &Library) -> Vec<u64> {
     netlist
         .node_ids()
         .map(|id| match netlist.kind(id) {
-            NodeKind::Gate { kind, inputs } => {
-                let c = lib.cell(*kind);
-                (c.delay_ps + c.delay_per_fanin_ps * (inputs.len().saturating_sub(1)) as f64)
-                    .round()
-                    .max(1.0) as u64
-            }
+            NodeKind::Gate { kind, inputs } => transport_delay_ps(lib, *kind, inputs.len()),
             _ => 0,
         })
         .collect()

@@ -35,6 +35,11 @@
 //! [`ResimScratch`] + [`ConeResim`] pair, which makes rejection
 //! allocation-free once the buffers have warmed up.
 //!
+//! [`crate::IncrementalTimedSim`] shares this module's core (the
+//! crate-private `Recording`: trajectories, edit checks, cone building,
+//! diff, commit) and its [`ResimScratch`]/[`ConeResim`]; each engine adds
+//! only its replay loop.
+//!
 //! Mutations are expressed with [`crate::NetlistEditor`] (in-place
 //! rewiring with an undo journal, node ids stable) or directly with
 //! [`crate::Netlist::replace_gate`] plus append-only construction;
@@ -42,6 +47,10 @@
 //! the optimize crate are the canonical consumers, and the PR 5
 //! attribution profiler consumes the delta activity through
 //! [`crate::attribute_delta`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 use hlpower_obs::metrics as obs;
 
@@ -51,53 +60,69 @@ use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::sim::{Activity, ZeroDelaySim};
 use crate::sim64::{broadcast, Program};
 
+/// One recorded value flip of a timed recording: the cycle it happened
+/// in and the in-cycle timestamp (picoseconds from the clock edge).
+pub(crate) type Flip = (u32, u64);
+
+/// The recording both dirty-cone engines share: the base netlist, the
+/// stream geometry, and every node's settled per-cycle trajectory. It
+/// owns everything outside the engines' replay loops.
+#[derive(Debug, Clone)]
+pub(crate) struct Recording {
+    /// The netlist the cached values correspond to.
+    pub(crate) base: Netlist,
+    /// Number of stimulus vectors recorded.
+    pub(crate) n_vectors: usize,
+    /// `u64` words per node (`n_vectors.div_ceil(64)`).
+    pub(crate) blocks: usize,
+    /// Valid-bit mask of the final block.
+    tail_mask: u64,
+    /// Settled packed values, `node * blocks + b`; bit `c` of block `b` is
+    /// the node's settled value on vector `b * 64 + c`. For flip-flops
+    /// this is the register-boundary snapshot: the Q trajectory.
+    pub(crate) values: Vec<u64>,
+}
+
 /// A recorded time-packed simulation of a netlist over a fixed stimulus
 /// stream, supporting dirty-cone re-simulation of mutated variants. See
 /// the `incremental` module docs for the workflow.
 #[derive(Debug, Clone)]
 pub struct IncrementalSim {
-    /// The netlist the cached values correspond to (owned so mutated
-    /// variants can be derived from it freely).
-    base: Netlist,
-    /// Number of stimulus vectors recorded.
-    n_vectors: usize,
-    /// `u64` words per node (`n_vectors.div_ceil(64)`).
-    blocks: usize,
-    /// Valid-bit mask of the final block.
-    tail_mask: u64,
-    /// Cached packed values, `node * blocks + b`; bit `c` of block `b` is
-    /// the node's settled value on vector `b * 64 + c`. For flip-flops
-    /// this is the register-boundary snapshot: the Q trajectory.
-    values: Vec<u64>,
-    /// Exact per-node toggle counts over the recorded stream.
-    toggles: Vec<u64>,
+    rec: Recording,
+    /// Exact activity of the base recording.
+    activity: Activity,
 }
 
-/// The outcome of one dirty-cone re-simulation
-/// ([`IncrementalSim::resim`]): which nodes were re-evaluated, which
-/// actually changed, and the mutated netlist's full activity.
+/// The outcome of one dirty-cone re-simulation: which nodes were
+/// re-evaluated, which actually changed, and the mutated netlist's full
+/// activity — an [`Activity`] from [`IncrementalSim::resim`], a
+/// glitch-inclusive [`crate::TimedActivity`] from
+/// [`crate::IncrementalTimedSim::resim`] (as [`crate::TimedConeResim`]).
 #[derive(Debug, Clone, Default)]
-pub struct ConeResim {
+pub struct ConeResim<A = Activity> {
     /// Every node that was re-evaluated (the mutation seeds, all appended
     /// nodes, and their forward closure), in evaluation (topological)
     /// order. Guaranteed to be a superset of
     /// [`changed_values`](Self::changed_values).
     pub cone: Vec<NodeId>,
-    /// The cone nodes whose packed values differ from the cached base
+    /// The cone nodes whose settled values differ from the cached base
     /// recording (appended nodes always count: they had no prior value).
     pub changed_values: Vec<NodeId>,
     /// Activity of the mutated netlist over the recorded stream,
-    /// bit-identical to a from-scratch [`IncrementalSim::record`] of the
-    /// mutated netlist.
-    pub activity: Activity,
-    /// Re-evaluated packed values, cone-index-major (`blocks` words per
-    /// cone node).
-    updates: Vec<u64>,
+    /// bit-identical to a from-scratch recording of the mutated netlist.
+    pub activity: A,
+    /// Re-evaluated settled packed values, cone-index-major (`blocks`
+    /// words per cone node).
+    pub(crate) updates: Vec<u64>,
     /// Words per node, copied from the recording for indexing `updates`.
-    blocks: usize,
+    pub(crate) blocks: usize,
+    /// Timed engine only (empty otherwise): the replayed event waveforms
+    /// and power-on settle values of the cone, for its `commit`.
+    pub(crate) cone_events: Vec<Vec<Flip>>,
+    pub(crate) cone_init: Vec<bool>,
 }
 
-impl ConeResim {
+impl<A> ConeResim<A> {
     /// Packed `u64` words re-evaluated by this resim (`cone × blocks`) —
     /// the work metric the `opt_search` observability section reports.
     pub fn words_replayed(&self) -> u64 {
@@ -105,34 +130,57 @@ impl ConeResim {
     }
 }
 
-/// Reusable working memory for [`IncrementalSim::resim_into`]. One
-/// scratch serves any number of candidates (and any number of netlists);
-/// every internal buffer is cleared and refilled in place, so a candidate
-/// search allocates nothing once the buffers have grown to the netlist's
-/// size — rejected candidates leave no garbage behind.
+/// Reusable working memory for [`IncrementalSim::resim_into`] and
+/// [`crate::IncrementalTimedSim::resim_into`]. One scratch serves any
+/// number of candidates (and any number of netlists, under either
+/// engine); every internal buffer is cleared and refilled in place, so a
+/// candidate search allocates nothing once the buffers have grown to the
+/// netlist's size — rejected candidates leave no garbage behind. The
+/// timed playback buffers stay empty for zero-delay users.
 #[derive(Debug, Clone, Default)]
 pub struct ResimScratch {
     /// Membership flags for the declared change set.
     in_changed: Vec<bool>,
     /// Membership flags for the dirty cone.
-    in_cone: Vec<bool>,
+    pub(crate) in_cone: Vec<bool>,
     /// DFS stack for the forward closure (node indices).
     stack: Vec<u32>,
     /// Node index -> cone index, `usize::MAX` outside the cone.
-    update_of: Vec<usize>,
+    pub(crate) update_of: Vec<usize>,
     /// CSR fanout graph of the mutated netlist (all reader edges,
     /// including flip-flop D pins).
-    fan_start: Vec<u32>,
-    fan: Vec<u32>,
+    pub(crate) fan_start: Vec<u32>,
+    pub(crate) fan: Vec<u32>,
     /// Scatter cursor for the CSR build.
     cursor: Vec<u32>,
     /// Kahn worklist state for the scratch topological sort.
     indeg: Vec<u32>,
     topo_stack: Vec<u32>,
     order: Vec<NodeId>,
-    /// Per-cycle replay state for cones that dirty a register boundary.
-    cur: Vec<bool>,
-    dff_next: Vec<bool>,
+    /// Per-cycle cone values and sampled flip-flop D inputs.
+    pub(crate) cur: Vec<bool>,
+    pub(crate) dff_next: Vec<bool>,
+    /// Timed playback: the cone's direct out-of-cone fan-ins, node index
+    /// -> boundary index (`usize::MAX` elsewhere), their current values
+    /// and their cursors into the cached waveforms.
+    pub(crate) boundary: Vec<u32>,
+    pub(crate) b_index: Vec<usize>,
+    pub(crate) bvals: Vec<bool>,
+    pub(crate) cursors: Vec<usize>,
+    /// Timed replay: last settled cone values, gate delays, event heap.
+    pub(crate) settled: Vec<bool>,
+    pub(crate) delays: Vec<u64>,
+    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl ResimScratch {
+    /// Loads `dff_next` with the power-on value of every register in
+    /// `cone` (`false` for other nodes): a per-cycle replay's first state.
+    pub(crate) fn arm_registers(&mut self, mutated: &Netlist, cone: &[NodeId]) {
+        self.dff_next.clear();
+        let init = |id: &NodeId| matches!(mutated.kind(*id), NodeKind::Dff { init: true, .. });
+        self.dff_next.extend(cone.iter().map(init));
+    }
 }
 
 /// Clears `v` and refills it with `n` copies of `fill`, reusing capacity.
@@ -141,52 +189,63 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     v.resize(n, fill);
 }
 
-/// Evaluates one gate function over packed words.
-#[inline]
-fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> u64) -> u64 {
-    let fold =
-        |unit: u64, f: fn(u64, u64) -> u64| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
-    match kind {
-        GateKind::Buf => get(inputs[0]),
-        GateKind::Not => !get(inputs[0]),
-        GateKind::And => fold(!0, |a, b| a & b),
-        GateKind::Or => fold(0, |a, b| a | b),
-        GateKind::Nand => !fold(!0, |a, b| a & b),
-        GateKind::Nor => !fold(0, |a, b| a | b),
-        GateKind::Xor => fold(0, |a, b| a ^ b),
-        GateKind::Xnor => !fold(0, |a, b| a ^ b),
-        GateKind::Mux => {
-            let s = get(inputs[0]);
-            (!s & get(inputs[1])) | (s & get(inputs[2]))
-        }
+/// Refills `totals` with the recorded per-node `base` totals, extended
+/// with zeros to `n` nodes (appended nodes have no recorded activity).
+pub(crate) fn carry_totals(totals: &mut Vec<u64>, base: &[u64], n: usize) {
+    refill(totals, n, 0);
+    totals[..base.len()].copy_from_slice(base);
+}
+
+/// Packs one cycle of settled node values into a bit-packed trajectory:
+/// bit `cycle % 64` of `values[node * blocks + cycle / 64]`.
+pub(crate) fn pack_settled(values: &mut [u64], blocks: usize, cycle: usize, settled: &[bool]) {
+    let (b, bit) = (cycle / 64, cycle % 64);
+    for (node, &val) in settled.iter().enumerate() {
+        values[node * blocks + b] |= (val as u64) << bit;
     }
 }
 
-/// Scalar (single-cycle) twin of [`eval_gate`], for the register-dirty
-/// replay path. Same fold structure, so the two paths agree bit for bit.
+/// Zeroes the bits past the last recorded cycle in the final word of
+/// every `blocks`-word row: whatever a replay computed there, trailing
+/// bits of a settled trajectory read as zero-padding in both engines.
+fn clear_padding(words: &mut [u64], blocks: usize, tail_mask: u64) {
+    for w in words.iter_mut().skip(blocks - 1).step_by(blocks) {
+        *w &= tail_mask;
+    }
+}
+
+/// The error for an edit that breaks the dirty-cone preconditions.
+pub(crate) fn mismatch(reason: String) -> NetlistError {
+    NetlistError::IncrementalMismatch { reason }
+}
+
+/// Evaluates one gate function over packed `u64` words (64 cycles at
+/// once) or over single `bool` values; every replay loop folds through
+/// this one definition, so packed and per-cycle replays agree bit for bit.
 #[inline]
-pub(crate) fn eval_gate_bool(
-    kind: GateKind,
-    inputs: &[NodeId],
-    get: impl Fn(NodeId) -> bool,
-) -> bool {
-    let fold =
-        |unit: bool, f: fn(bool, bool) -> bool| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
+pub(crate) fn eval_gate<T>(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> T) -> T
+where
+    T: Copy
+        + Default
+        + Not<Output = T>
+        + BitAnd<Output = T>
+        + BitOr<Output = T>
+        + BitXor<Output = T>,
+{
+    let zero = T::default();
+    let fold = |unit: T, f: fn(T, T) -> T| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
     match kind {
         GateKind::Buf => get(inputs[0]),
         GateKind::Not => !get(inputs[0]),
-        GateKind::And => fold(true, |a, b| a & b),
-        GateKind::Or => fold(false, |a, b| a | b),
-        GateKind::Nand => !fold(true, |a, b| a & b),
-        GateKind::Nor => !fold(false, |a, b| a | b),
-        GateKind::Xor => fold(false, |a, b| a ^ b),
-        GateKind::Xnor => !fold(false, |a, b| a ^ b),
+        GateKind::And => fold(!zero, |a, b| a & b),
+        GateKind::Or => fold(zero, |a, b| a | b),
+        GateKind::Nand => !fold(!zero, |a, b| a & b),
+        GateKind::Nor => !fold(zero, |a, b| a | b),
+        GateKind::Xor => fold(zero, |a, b| a ^ b),
+        GateKind::Xnor => !fold(zero, |a, b| a ^ b),
         GateKind::Mux => {
-            if get(inputs[0]) {
-                get(inputs[2])
-            } else {
-                get(inputs[1])
-            }
+            let s = get(inputs[0]);
+            (!s & get(inputs[1])) | (s & get(inputs[2]))
         }
     }
 }
@@ -208,7 +267,7 @@ fn toggles_of(words: &[u64], n_vectors: usize) -> u64 {
 
 /// Builds the CSR fanout graph of `netlist` (gate input pins and
 /// flip-flop D pins) into the scratch buffers.
-pub(crate) fn build_fanout_csr(
+fn build_fanout_csr(
     netlist: &Netlist,
     fan_start: &mut Vec<u32>,
     fan: &mut Vec<u32>,
@@ -256,7 +315,7 @@ pub(crate) fn build_fanout_csr(
 /// Scratch-buffer topological sort over the combinational part of
 /// `netlist`, mirroring [`Netlist::topo_order`] (non-gates first in index
 /// order, then gates; flip-flops legally break cycles).
-pub(crate) fn topo_into(
+fn topo_into(
     netlist: &Netlist,
     fan_start: &[u32],
     fan: &[u32],
@@ -309,154 +368,56 @@ pub(crate) fn topo_into(
     Ok(())
 }
 
-impl IncrementalSim {
-    /// Records a full time-packed evaluation of `netlist` over `stream`,
-    /// caching every node's packed values for later dirty-cone
-    /// re-simulation. Combinational netlists evaluate block-parallel on
-    /// the compiled instruction stream; sequential netlists replay the
-    /// scalar simulator once and pack the per-cycle register-boundary
-    /// snapshots, so either way the cache is bit-identical to a scalar
-    /// [`ZeroDelaySim`] run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::EmptyStream`] for an empty stream,
-    /// [`NetlistError::InputWidthMismatch`] for a bad vector width, or
-    /// [`NetlistError::CombinationalCycle`] for cyclic netlists.
-    pub fn record(netlist: &Netlist, stream: &[Vec<bool>]) -> Result<Self, NetlistError> {
+impl Recording {
+    /// Validates `stream` against `netlist`, lets `fill` write the settled
+    /// trajectories into an all-zero recording (returning whatever else
+    /// the engine caches), and counts the recording.
+    pub(crate) fn record<T>(
+        netlist: &Netlist,
+        stream: &[Vec<bool>],
+        fill: impl FnOnce(&mut Recording) -> Result<T, NetlistError>,
+    ) -> Result<(Recording, T), NetlistError> {
         if stream.is_empty() {
             return Err(NetlistError::EmptyStream);
         }
         let width = netlist.input_count();
-        for v in stream {
-            if v.len() != width {
-                return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
-            }
+        if let Some(v) = stream.iter().find(|v| v.len() != width) {
+            return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
         }
-        let n = netlist.node_count();
         let n_vectors = stream.len();
         let blocks = n_vectors.div_ceil(64);
         let tail_valid = n_vectors - (blocks - 1) * 64;
-        let tail_mask = if tail_valid == 64 { !0 } else { (1u64 << tail_valid) - 1 };
-        let mut values = vec![0u64; n * blocks];
-        if netlist.dffs().is_empty() {
-            let program = Program::compile(netlist)?;
-            // Pack the stimulus into the input nodes' words.
-            for (c, v) in stream.iter().enumerate() {
-                let (b, bit) = (c / 64, c % 64);
-                for (i, &inp) in netlist.inputs().iter().enumerate() {
-                    values[inp.index() * blocks + b] |= (v[i] as u64) << bit;
-                }
-            }
-            // Evaluate block by block: gates only depend on same-cycle
-            // values, so each 64-cycle block settles independently.
-            let mut cur = program.init_words::<u64>();
-            for b in 0..blocks {
-                for &inp in netlist.inputs() {
-                    cur[inp.index()] = values[inp.index() * blocks + b];
-                }
-                for ins in &program.instrs {
-                    cur[ins.out as usize] = program.eval(&cur, ins);
-                }
-                for node in 0..n {
-                    values[node * blocks + b] = cur[node];
-                }
-            }
-        } else {
-            // Sequential: one scalar pass, packing every node's settled
-            // per-cycle value — the flip-flop rows are the register-
-            // boundary snapshots that later resims read across.
-            let mut sim = ZeroDelaySim::new(netlist)?;
-            for (c, v) in stream.iter().enumerate() {
-                sim.step(v)?;
-                let (b, bit) = (c / 64, c % 64);
-                for (node, &val) in sim.values_raw().iter().enumerate() {
-                    values[node * blocks + b] |= (val as u64) << bit;
-                }
-            }
-        }
-        let toggles = (0..n)
-            .map(|node| toggles_of(&values[node * blocks..(node + 1) * blocks], n_vectors))
-            .collect();
+        let mut rec = Recording {
+            base: netlist.clone(),
+            n_vectors,
+            blocks,
+            tail_mask: if tail_valid == 64 { !0 } else { (1u64 << tail_valid) - 1 },
+            values: vec![0u64; netlist.node_count() * blocks],
+        };
+        let cached = fill(&mut rec)?;
+        clear_padding(&mut rec.values, blocks, rec.tail_mask);
         obs::SIM_INC_RECORDS.inc();
-        Ok(IncrementalSim { base: netlist.clone(), n_vectors, blocks, tail_mask, values, toggles })
+        Ok((rec, cached))
     }
 
-    /// The netlist the cached recording corresponds to (updated by
-    /// [`commit`](Self::commit)).
-    pub fn base(&self) -> &Netlist {
-        &self.base
-    }
-
-    /// Number of stimulus vectors in the recorded stream.
-    pub fn vectors(&self) -> usize {
-        self.n_vectors
-    }
-
-    /// The cached packed value words of a node (bit `c` of word `b` is
-    /// the settled value on vector `b * 64 + c`; trailing bits of the
-    /// final word are zero-padding).
-    pub fn value_words(&self, node: NodeId) -> &[u64] {
+    pub(crate) fn value_words(&self, node: NodeId) -> &[u64] {
         &self.values[node.index() * self.blocks..(node.index() + 1) * self.blocks]
     }
 
-    /// A node's settled value on one recorded cycle.
-    pub fn value_at(&self, node: NodeId, cycle: usize) -> bool {
-        (self.values[node.index() * self.blocks + cycle / 64] >> (cycle % 64)) & 1 != 0
-    }
-
-    /// Activity of the base netlist over the recorded stream,
-    /// bit-identical to a scalar [`crate::ZeroDelaySim`] run.
-    pub fn activity(&self) -> Activity {
-        Activity { toggles: self.toggles.clone(), cycles: (self.n_vectors - 1) as u64 }
-    }
-
-    /// Re-simulates a mutated variant of the base netlist over the
-    /// recorded stream, allocating a fresh [`ConeResim`]. Candidate
-    /// searches should prefer [`resim_into`](Self::resim_into), which
-    /// reuses buffers across candidates.
-    ///
-    /// # Errors
-    ///
-    /// As [`resim_into`](Self::resim_into).
-    pub fn resim(&self, mutated: &Netlist, changed: &[NodeId]) -> Result<ConeResim, NetlistError> {
-        let mut scratch = ResimScratch::default();
-        let mut out = ConeResim::default();
-        self.resim_into(mutated, changed, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Re-simulates a mutated variant of the base netlist over the
-    /// recorded stream by evaluating only the dirty cone: the forward
-    /// closure of the `changed` gates plus any appended nodes (through
-    /// register boundaries — a flip-flop whose D input is dirty dirties
-    /// its own Q trajectory and everything reading it). Untouched nodes
-    /// reuse their cached words verbatim. Results land in `out`, working
-    /// memory in `scratch`; both are reused across calls, so a rejected
-    /// candidate costs no allocation once the buffers are warm.
-    ///
-    /// `mutated` must be an *incremental edit* of the base: same primary
-    /// inputs, same pre-existing flip-flops, no removed nodes, and every
-    /// pre-existing node that differs from the base declared in `changed`
-    /// (out-of-cone nodes are never re-checked — an undeclared edit would
-    /// silently desynchronize the cache, so it is rejected up front).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::IncrementalMismatch`] if `mutated` violates
-    /// the preconditions above, or
-    /// [`NetlistError::CombinationalCycle`] if the rewiring introduced a
-    /// cycle.
-    pub fn resim_into(
+    /// Checks that `mutated` is an incremental edit of the base, then
+    /// builds its dirty cone: `out.cone` in topological order, with the
+    /// fanout CSR, cone membership and `update_of` map in `scratch`, and
+    /// `out.updates` zeroed for the replay. See
+    /// [`IncrementalSim::resim_into`] for the preconditions.
+    pub(crate) fn dirty_cone<A>(
         &self,
         mutated: &Netlist,
         changed: &[NodeId],
         scratch: &mut ResimScratch,
-        out: &mut ConeResim,
+        out: &mut ConeResim<A>,
     ) -> Result<(), NetlistError> {
         let n_base = self.base.node_count();
         let n_new = mutated.node_count();
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
         if n_new < n_base {
             return Err(mismatch(format!(
                 "mutated netlist has {n_new} nodes, base has {n_base} (nodes were removed)"
@@ -520,14 +481,182 @@ impl IncrementalSim {
         }
         out.cone.clear();
         out.cone.extend(scratch.order.iter().copied().filter(|id| scratch.in_cone[id.index()]));
-        let cone = &out.cone;
         refill(&mut scratch.update_of, n_new, usize::MAX);
-        for (ci, &id) in cone.iter().enumerate() {
+        for (ci, &id) in out.cone.iter().enumerate() {
             scratch.update_of[id.index()] = ci;
         }
+        out.blocks = self.blocks;
+        refill(&mut out.updates, out.cone.len() * self.blocks, 0u64);
+        Ok(())
+    }
+
+    /// Closes a replayed resim of a `n_new`-node netlist: clears the
+    /// padding of the replayed words, fills `out.changed_values` with the
+    /// cone nodes whose settled trajectory differs from the recording on
+    /// a valid cycle, and counts the resim.
+    pub(crate) fn finish<A>(&self, n_new: usize, out: &mut ConeResim<A>) {
+        let (n_base, blocks) = (self.base.node_count(), self.blocks);
+        clear_padding(&mut out.updates, blocks, self.tail_mask);
+        out.changed_values.clear();
+        for (ci, &id) in out.cone.iter().enumerate() {
+            // Padding is zero on both sides, so whole words compare; an
+            // appended node has no prior value to agree with.
+            let differs = id.index() >= n_base
+                || *self.value_words(id) != out.updates[ci * blocks..(ci + 1) * blocks];
+            if differs {
+                out.changed_values.push(id);
+            }
+        }
+        obs::SIM_INC_RESIMS.inc();
+        obs::SIM_INC_CONE_NODES.add(out.cone.len() as u64);
+        obs::SIM_INC_REUSED_NODES.add((n_new - out.cone.len()) as u64);
+    }
+
+    /// The trajectory half of a commit: the cone's replayed words replace
+    /// the stale ones and `mutated` becomes the base.
+    pub(crate) fn commit<A>(&mut self, mutated: &Netlist, resim: &ConeResim<A>) {
         let blocks = self.blocks;
-        out.blocks = blocks;
-        refill(&mut out.updates, cone.len() * blocks, 0u64);
+        self.values.resize(mutated.node_count() * blocks, 0);
+        for (ci, &id) in resim.cone.iter().enumerate() {
+            self.values[id.index() * blocks..(id.index() + 1) * blocks]
+                .copy_from_slice(&resim.updates[ci * blocks..(ci + 1) * blocks]);
+        }
+        self.base = mutated.clone();
+    }
+}
+
+impl IncrementalSim {
+    /// Records a full time-packed evaluation of `netlist` over `stream`,
+    /// caching every node's packed values for later dirty-cone
+    /// re-simulation. Combinational netlists evaluate block-parallel on
+    /// the compiled instruction stream; sequential netlists replay the
+    /// scalar simulator once and pack the per-cycle register-boundary
+    /// snapshots, so either way the cache is bit-identical to a scalar
+    /// [`ZeroDelaySim`] run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::EmptyStream`] for an empty stream,
+    /// [`NetlistError::InputWidthMismatch`] for a bad vector width, or
+    /// [`NetlistError::CombinationalCycle`] for cyclic netlists.
+    pub fn record(netlist: &Netlist, stream: &[Vec<bool>]) -> Result<Self, NetlistError> {
+        let n = netlist.node_count();
+        let (rec, ()) = Recording::record(netlist, stream, |rec| {
+            let (blocks, values) = (rec.blocks, &mut rec.values);
+            if !netlist.dffs().is_empty() {
+                // Sequential: one scalar pass, packing every node's settled
+                // per-cycle value — the flip-flop rows are the register-
+                // boundary snapshots that later resims read across.
+                let mut sim = ZeroDelaySim::new(netlist)?;
+                for (c, v) in stream.iter().enumerate() {
+                    sim.step(v)?;
+                    pack_settled(values, blocks, c, sim.values_raw());
+                }
+                return Ok(());
+            }
+            let program = Program::compile(netlist)?;
+            // Pack the stimulus into the input nodes' words.
+            for (c, v) in stream.iter().enumerate() {
+                let (b, bit) = (c / 64, c % 64);
+                for (i, &inp) in netlist.inputs().iter().enumerate() {
+                    values[inp.index() * blocks + b] |= (v[i] as u64) << bit;
+                }
+            }
+            // Evaluate block by block: gates only depend on same-cycle
+            // values, so each 64-cycle block settles independently.
+            let mut cur = program.init_words::<u64>();
+            for b in 0..blocks {
+                for &inp in netlist.inputs() {
+                    cur[inp.index()] = values[inp.index() * blocks + b];
+                }
+                for ins in &program.instrs {
+                    cur[ins.out as usize] = program.eval(&cur, ins);
+                }
+                for node in 0..n {
+                    values[node * blocks + b] = cur[node];
+                }
+            }
+            Ok(())
+        })?;
+        let toggles = netlist.node_ids().map(|id| toggles_of(rec.value_words(id), rec.n_vectors));
+        let activity = Activity { toggles: toggles.collect(), cycles: (rec.n_vectors - 1) as u64 };
+        Ok(IncrementalSim { rec, activity })
+    }
+
+    /// The netlist the cached recording corresponds to (updated by
+    /// [`commit`](Self::commit)).
+    pub fn base(&self) -> &Netlist {
+        &self.rec.base
+    }
+
+    /// Number of stimulus vectors in the recorded stream.
+    pub fn vectors(&self) -> usize {
+        self.rec.n_vectors
+    }
+
+    /// The cached packed value words of a node (bit `c` of word `b` is
+    /// the settled value on vector `b * 64 + c`; trailing bits of the
+    /// final word are zero-padding).
+    pub fn value_words(&self, node: NodeId) -> &[u64] {
+        self.rec.value_words(node)
+    }
+
+    /// A node's settled value on one recorded cycle.
+    pub fn value_at(&self, node: NodeId, cycle: usize) -> bool {
+        (self.value_words(node)[cycle / 64] >> (cycle % 64)) & 1 != 0
+    }
+
+    /// Activity of the base netlist over the recorded stream,
+    /// bit-identical to a scalar [`crate::ZeroDelaySim`] run.
+    pub fn activity(&self) -> Activity {
+        self.activity.clone()
+    }
+
+    /// Re-simulates a mutated variant of the base netlist over the
+    /// recorded stream, allocating a fresh [`ConeResim`]. Candidate
+    /// searches should prefer [`resim_into`](Self::resim_into), which
+    /// reuses buffers across candidates.
+    ///
+    /// # Errors
+    ///
+    /// As [`resim_into`](Self::resim_into).
+    pub fn resim(&self, mutated: &Netlist, changed: &[NodeId]) -> Result<ConeResim, NetlistError> {
+        let mut scratch = ResimScratch::default();
+        let mut out = ConeResim::default();
+        self.resim_into(mutated, changed, &mut scratch, &mut out)?;
+        Ok(out)
+    }
+
+    /// Re-simulates a mutated variant of the base netlist over the
+    /// recorded stream by evaluating only the dirty cone: the forward
+    /// closure of the `changed` gates plus any appended nodes (through
+    /// register boundaries — a flip-flop whose D input is dirty dirties
+    /// its own Q trajectory and everything reading it). Untouched nodes
+    /// reuse their cached words verbatim. Results land in `out`, working
+    /// memory in `scratch`; both are reused across calls, so a rejected
+    /// candidate costs no allocation once the buffers are warm.
+    ///
+    /// `mutated` must be an *incremental edit* of the base: same primary
+    /// inputs, same pre-existing flip-flops, no removed nodes, and every
+    /// pre-existing node that differs from the base declared in `changed`
+    /// (out-of-cone nodes are never re-checked — an undeclared edit would
+    /// silently desynchronize the cache, so it is rejected up front).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::IncrementalMismatch`] if `mutated` violates
+    /// the preconditions above, or
+    /// [`NetlistError::CombinationalCycle`] if the rewiring introduced a
+    /// cycle.
+    pub fn resim_into(
+        &self,
+        mutated: &Netlist,
+        changed: &[NodeId],
+        scratch: &mut ResimScratch,
+        out: &mut ConeResim,
+    ) -> Result<(), NetlistError> {
+        self.rec.dirty_cone(mutated, changed, scratch, out)?;
+        let (cone, blocks) = (&out.cone, self.rec.blocks);
         let register_dirty =
             cone.iter().any(|&id| matches!(mutated.kind(id), NodeKind::Dff { .. }));
         if !register_dirty {
@@ -545,7 +674,7 @@ impl IncrementalSim {
                                 // Cone fan-ins precede ci in topo order.
                                 updates[u * blocks + b]
                             } else {
-                                self.values[f.index() * blocks + b]
+                                self.rec.values[f.index() * blocks + b]
                             }
                         }),
                         // Inputs are never in the cone (they have no
@@ -568,34 +697,15 @@ impl IncrementalSim {
             // any boundary value an O(1) bit extraction).
             self.resim_sequential_cone(mutated, cone, scratch, &mut out.updates)?;
         }
-        // Which cone nodes actually changed value on a valid cycle?
-        out.changed_values.clear();
-        for (ci, &id) in cone.iter().enumerate() {
-            let differs = if id.index() >= n_base {
-                true // newly appended: no prior value to agree with
-            } else {
-                let old = &self.values[id.index() * blocks..(id.index() + 1) * blocks];
-                (0..blocks).any(|b| {
-                    let mask = if b + 1 == blocks { self.tail_mask } else { !0 };
-                    (old[b] ^ out.updates[ci * blocks + b]) & mask != 0
-                })
-            };
-            if differs {
-                out.changed_values.push(id);
-            }
-        }
         // Delta activity: untouched nodes keep their recorded toggle
         // counts, cone nodes are re-counted from their new words.
-        refill(&mut out.activity.toggles, n_new, 0u64);
-        out.activity.toggles[..n_base].copy_from_slice(&self.toggles);
-        out.activity.cycles = (self.n_vectors - 1) as u64;
-        for (ci, &id) in cone.iter().enumerate() {
+        carry_totals(&mut out.activity.toggles, &self.activity.toggles, mutated.node_count());
+        out.activity.cycles = (self.rec.n_vectors - 1) as u64;
+        for (ci, &id) in out.cone.iter().enumerate() {
             out.activity.toggles[id.index()] =
-                toggles_of(&out.updates[ci * blocks..(ci + 1) * blocks], self.n_vectors);
+                toggles_of(&out.updates[ci * blocks..(ci + 1) * blocks], self.rec.n_vectors);
         }
-        obs::SIM_INC_RESIMS.inc();
-        obs::SIM_INC_CONE_NODES.add(cone.len() as u64);
-        obs::SIM_INC_REUSED_NODES.add((n_new - cone.len()) as u64);
+        self.rec.finish(mutated.node_count(), out);
         Ok(())
     }
 
@@ -611,17 +721,10 @@ impl IncrementalSim {
         scratch: &mut ResimScratch,
         updates: &mut [u64],
     ) -> Result<(), NetlistError> {
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
-        let blocks = self.blocks;
+        let (blocks, values) = (self.rec.blocks, &self.rec.values);
         refill(&mut scratch.cur, cone.len(), false);
-        refill(&mut scratch.dff_next, cone.len(), false);
-        // Power-on values for cone registers.
-        for (ci, &id) in cone.iter().enumerate() {
-            if let NodeKind::Dff { init, .. } = mutated.kind(id) {
-                scratch.dff_next[ci] = *init;
-            }
-        }
-        for c in 0..self.n_vectors {
+        scratch.arm_registers(mutated, cone);
+        for c in 0..self.rec.n_vectors {
             let (b, bit) = (c / 64, c % 64);
             // Settle the cone for this cycle. `cone` is in topological
             // order with non-gates (registers, constants) first, matching
@@ -633,12 +736,12 @@ impl IncrementalSim {
                     NodeKind::Const(v) => *v,
                     NodeKind::Gate { kind, inputs } => {
                         let (cur, update_of) = (&scratch.cur, &scratch.update_of);
-                        eval_gate_bool(*kind, inputs, |f| {
+                        eval_gate(*kind, inputs, |f| {
                             let u = update_of[f.index()];
                             if u != usize::MAX {
                                 cur[u]
                             } else {
-                                (self.values[f.index() * blocks + b] >> bit) & 1 != 0
+                                (values[f.index() * blocks + b] >> bit) & 1 != 0
                             }
                         })
                     }
@@ -658,7 +761,7 @@ impl IncrementalSim {
                     scratch.dff_next[ci] = if u != usize::MAX {
                         scratch.cur[u]
                     } else {
-                        (self.values[d.index() * blocks + b] >> bit) & 1 != 0
+                        (values[d.index() * blocks + b] >> bit) & 1 != 0
                     };
                 }
             }
@@ -677,17 +780,8 @@ impl IncrementalSim {
     pub fn commit(&mut self, mutated: &Netlist, resim: &ConeResim) {
         let n_new = mutated.node_count();
         debug_assert_eq!(resim.activity.toggles.len(), n_new, "resim is for a different netlist");
-        let blocks = self.blocks;
-        let mut values = std::mem::take(&mut self.values);
-        values.resize(n_new * blocks, 0);
-        for (ci, &id) in resim.cone.iter().enumerate() {
-            values[id.index() * blocks..(id.index() + 1) * blocks]
-                .copy_from_slice(&resim.updates[ci * blocks..(ci + 1) * blocks]);
-        }
-        self.values = values;
-        self.toggles.clear();
-        self.toggles.extend_from_slice(&resim.activity.toggles);
-        self.base = mutated.clone();
+        self.rec.commit(mutated, resim);
+        self.activity.clone_from(&resim.activity);
     }
 }
 

@@ -25,123 +25,47 @@
 //! of the mutated netlist, glitch counts and all. The in-file tests and
 //! the optimize-crate differential suites lock this in.
 //!
-//! The workflow mirrors the untimed simulator: [`record`]
-//! (IncrementalTimedSim::record) once, [`resim_into`]
-//! (IncrementalTimedSim::resim_into) per candidate with a reusable
-//! [`TimedResimScratch`] + [`TimedConeResim`] pair (rejection is
-//! allocation-free once warm), [`commit`](IncrementalTimedSim::commit)
+//! Everything but the event loop — the settled-trajectory recording, the
+//! precondition checks, the dirty-cone construction, the trajectory diff
+//! and the value half of a commit — is the untimed engine's core, so the
+//! workflow is the same too: [`record`](IncrementalTimedSim::record)
+//! once, [`resim_into`](IncrementalTimedSim::resim_into) per candidate
+//! with a reusable [`ResimScratch`] + [`TimedConeResim`] pair (rejection
+//! is allocation-free once warm), [`commit`](IncrementalTimedSim::commit)
 //! on acceptance.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use hlpower_obs::metrics as obs;
 
 use crate::error::NetlistError;
-use crate::event::{EventDrivenSim, TimedActivity};
-use crate::incremental::{build_fanout_csr, eval_gate_bool, refill, topo_into};
+use crate::event::{transport_delay_ps, EventDrivenSim, TimedActivity};
+use crate::incremental::{
+    carry_totals, eval_gate, mismatch, pack_settled, refill, ConeResim, Flip, Recording,
+    ResimScratch,
+};
 use crate::library::Library;
 use crate::netlist::{Netlist, NodeId, NodeKind};
-use crate::sim::Activity;
-
-/// One recorded flip: the cycle it happened in and the in-cycle
-/// timestamp (picoseconds from the clock edge).
-type Flip = (u32, u64);
 
 /// A recorded event-driven simulation of a netlist over a fixed stimulus
 /// stream, supporting dirty-cone re-simulation of mutated variants with
 /// exact glitch deltas. See the module docs for the workflow.
 #[derive(Debug, Clone)]
 pub struct IncrementalTimedSim {
-    base: Netlist,
+    rec: Recording,
     lib: Library,
-    n_vectors: usize,
-    blocks: usize,
-    tail_mask: u64,
     /// Power-on settle values (all-false inputs, registers at init).
     init_values: Vec<bool>,
-    /// Settled per-cycle trajectory, `node * blocks + b`.
-    values: Vec<u64>,
     /// Per-node event waveforms: every value flip of the recording, in
     /// chronological order. This is what boundary playback reads.
     events_of: Vec<Vec<Flip>>,
-    /// Cached totals of the base recording.
-    toggles: Vec<u64>,
-    functional: Vec<u64>,
+    /// Timed activity of the base recording.
+    activity: TimedActivity,
 }
 
 /// The outcome of one timed dirty-cone re-simulation
 /// ([`IncrementalTimedSim::resim`]): the replayed cone and the mutated
-/// netlist's full timed activity, bit-identical to a from-scratch
-/// event-driven run.
-#[derive(Debug, Clone, Default)]
-pub struct TimedConeResim {
-    /// Every node that was replayed, in topological order.
-    pub cone: Vec<NodeId>,
-    /// Cone nodes whose settled trajectory differs from the base
-    /// recording (appended nodes always count).
-    pub changed_values: Vec<NodeId>,
-    /// Timed activity of the mutated netlist over the recorded stream —
-    /// glitches included — bit-identical to a from-scratch
-    /// [`IncrementalTimedSim::record`].
-    pub activity: TimedActivity,
-    /// Settled packed values of the cone, cone-index-major.
-    updates: Vec<u64>,
-    blocks: usize,
-    /// Replayed event waveforms of the cone (for
-    /// [`IncrementalTimedSim::commit`]).
-    cone_events: Vec<Vec<Flip>>,
-    /// Power-on settle values of the cone under the mutated netlist.
-    cone_init: Vec<bool>,
-}
-
-impl TimedConeResim {
-    /// Packed `u64` words of settled trajectory this resim recomputed
-    /// (`cone × blocks`) — the work metric the `opt_search` section
-    /// reports.
-    pub fn words_replayed(&self) -> u64 {
-        (self.cone.len() * self.blocks) as u64
-    }
-}
-
-/// Reusable working memory for [`IncrementalTimedSim::resim_into`]; the
-/// timed twin of [`crate::ResimScratch`]. Every buffer is cleared and
-/// refilled in place, so candidate rejection allocates nothing once warm.
-#[derive(Debug, Clone, Default)]
-pub struct TimedResimScratch {
-    in_changed: Vec<bool>,
-    in_cone: Vec<bool>,
-    stack: Vec<u32>,
-    update_of: Vec<usize>,
-    fan_start: Vec<u32>,
-    fan: Vec<u32>,
-    cursor: Vec<u32>,
-    indeg: Vec<u32>,
-    topo_stack: Vec<u32>,
-    order: Vec<NodeId>,
-    /// Boundary playback state: the cone's direct out-of-cone fan-ins.
-    boundary: Vec<u32>,
-    /// Node index -> boundary index, `usize::MAX` elsewhere.
-    b_index: Vec<usize>,
-    /// Current boundary values during replay.
-    bvals: Vec<bool>,
-    /// Per-boundary-node cursor into its cached waveform.
-    cursors: Vec<usize>,
-    /// Cone replay state.
-    cur: Vec<bool>,
-    settled: Vec<bool>,
-    dff_next: Vec<bool>,
-    delays: Vec<u64>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-/// Transport delay of one gate under `lib`, matching
-/// `event::gate_delays_ps` exactly.
-fn gate_delay_ps(lib: &Library, kind: crate::library::GateKind, n_inputs: usize) -> u64 {
-    let c = lib.cell(kind);
-    (c.delay_ps + c.delay_per_fanin_ps * (n_inputs.saturating_sub(1)) as f64).round().max(1.0)
-        as u64
-}
+/// netlist's full [`TimedActivity`] — glitches included — bit-identical
+/// to a from-scratch [`IncrementalTimedSim::record`].
+pub type TimedConeResim = ConeResim<TimedActivity>;
 
 impl IncrementalTimedSim {
     /// Records a full event-driven simulation of `netlist` over `stream`
@@ -158,72 +82,45 @@ impl IncrementalTimedSim {
         lib: &Library,
         stream: &[Vec<bool>],
     ) -> Result<Self, NetlistError> {
-        if stream.is_empty() {
-            return Err(NetlistError::EmptyStream);
-        }
-        let n = netlist.node_count();
-        let n_vectors = stream.len();
-        let blocks = n_vectors.div_ceil(64);
-        let tail_valid = n_vectors - (blocks - 1) * 64;
-        let tail_mask = if tail_valid == 64 { !0 } else { (1u64 << tail_valid) - 1 };
-        let mut sim = EventDrivenSim::new(netlist, lib)?;
-        let init_values = sim.values_raw().to_vec();
-        let mut values = vec![0u64; n * blocks];
-        let mut events_of: Vec<Vec<Flip>> = vec![Vec::new(); n];
-        let mut trace: Vec<(u64, u32)> = Vec::new();
-        for (c, v) in stream.iter().enumerate() {
-            trace.clear();
-            sim.step_traced(v, &mut trace)?;
-            for &(t, node) in &trace {
-                events_of[node as usize].push((c as u32, t));
-            }
-            let (b, bit) = (c / 64, c % 64);
-            for (node, &val) in sim.values_raw().iter().enumerate() {
-                values[node * blocks + b] |= (val as u64) << bit;
-            }
-        }
-        let timed = sim.take_activity();
-        obs::SIM_INC_RECORDS.inc();
-        Ok(IncrementalTimedSim {
-            base: netlist.clone(),
-            lib: lib.clone(),
-            n_vectors,
-            blocks,
-            tail_mask,
-            init_values,
-            values,
-            events_of,
-            toggles: timed.activity.toggles,
-            functional: timed.functional,
-        })
+        let (rec, (init_values, events_of, activity)) =
+            Recording::record(netlist, stream, |rec| {
+                let mut sim = EventDrivenSim::new(netlist, lib)?;
+                let init_values = sim.values_raw().to_vec();
+                let mut events_of: Vec<Vec<Flip>> = vec![Vec::new(); netlist.node_count()];
+                let mut trace: Vec<(u64, u32)> = Vec::new();
+                for (c, v) in stream.iter().enumerate() {
+                    trace.clear();
+                    sim.step_traced(v, &mut trace)?;
+                    for &(t, node) in &trace {
+                        events_of[node as usize].push((c as u32, t));
+                    }
+                    pack_settled(&mut rec.values, rec.blocks, c, sim.values_raw());
+                }
+                Ok((init_values, events_of, sim.take_activity()))
+            })?;
+        Ok(IncrementalTimedSim { rec, lib: lib.clone(), init_values, events_of, activity })
     }
 
     /// The netlist the cached recording corresponds to (updated by
     /// [`commit`](Self::commit)).
     pub fn base(&self) -> &Netlist {
-        &self.base
+        &self.rec.base
     }
 
     /// Number of stimulus vectors in the recorded stream.
     pub fn vectors(&self) -> usize {
-        self.n_vectors
+        self.rec.n_vectors
     }
 
     /// Timed activity of the base netlist over the recorded stream,
     /// bit-identical to a scalar [`EventDrivenSim`] run.
     pub fn activity(&self) -> TimedActivity {
-        TimedActivity {
-            activity: Activity {
-                toggles: self.toggles.clone(),
-                cycles: (self.n_vectors - 1) as u64,
-            },
-            functional: self.functional.clone(),
-        }
+        self.activity.clone()
     }
 
     /// The cached settled packed values of a node.
     pub fn value_words(&self, node: NodeId) -> &[u64] {
-        &self.values[node.index() * self.blocks..(node.index() + 1) * self.blocks]
+        self.rec.value_words(node)
     }
 
     /// Re-simulates a mutated variant, allocating fresh buffers. Searches
@@ -237,7 +134,7 @@ impl IncrementalTimedSim {
         mutated: &Netlist,
         changed: &[NodeId],
     ) -> Result<TimedConeResim, NetlistError> {
-        let mut scratch = TimedResimScratch::default();
+        let mut scratch = ResimScratch::default();
         let mut out = TimedConeResim::default();
         self.resim_into(mutated, changed, &mut scratch, &mut out)?;
         Ok(out)
@@ -259,96 +156,12 @@ impl IncrementalTimedSim {
         &self,
         mutated: &Netlist,
         changed: &[NodeId],
-        scratch: &mut TimedResimScratch,
+        scratch: &mut ResimScratch,
         out: &mut TimedConeResim,
     ) -> Result<(), NetlistError> {
-        let n_base = self.base.node_count();
-        let n_new = mutated.node_count();
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
-        if n_new < n_base {
-            return Err(mismatch(format!(
-                "mutated netlist has {n_new} nodes, base has {n_base} (nodes were removed)"
-            )));
-        }
-        if mutated.inputs() != self.base.inputs() {
-            return Err(mismatch("primary inputs differ from the base netlist".into()));
-        }
-        let base_dffs = self.base.dffs().len();
-        if mutated.dffs().len() < base_dffs || mutated.dffs()[..base_dffs] != *self.base.dffs() {
-            return Err(mismatch("pre-existing flip-flops differ from the base netlist".into()));
-        }
-        refill(&mut scratch.in_changed, n_new, false);
-        for &c in changed {
-            if c.index() >= n_new {
-                return Err(mismatch(format!("changed node {c} is out of range")));
-            }
-            if !matches!(mutated.kind(c), NodeKind::Gate { .. }) {
-                return Err(mismatch(format!("changed node {c} is not a combinational gate")));
-            }
-            scratch.in_changed[c.index()] = true;
-        }
-        for id in self.base.node_ids() {
-            if !scratch.in_changed[id.index()] && self.base.kind(id) != mutated.kind(id) {
-                return Err(mismatch(format!(
-                    "node {id} differs from the base but is not in the change set"
-                )));
-            }
-        }
-        build_fanout_csr(mutated, &mut scratch.fan_start, &mut scratch.fan, &mut scratch.cursor);
-        topo_into(
-            mutated,
-            &scratch.fan_start,
-            &scratch.fan,
-            &mut scratch.indeg,
-            &mut scratch.topo_stack,
-            &mut scratch.order,
-        )?;
-        // Dirty cone: forward closure of changed ∪ appended through all
-        // reader edges (register boundaries included).
-        refill(&mut scratch.in_cone, n_new, false);
-        scratch.stack.clear();
-        scratch.stack.extend(changed.iter().map(|c| c.index() as u32));
-        scratch.stack.extend(n_base as u32..n_new as u32);
-        while let Some(u) = scratch.stack.pop() {
-            let u = u as usize;
-            if scratch.in_cone[u] {
-                continue;
-            }
-            scratch.in_cone[u] = true;
-            for k in scratch.fan_start[u] as usize..scratch.fan_start[u + 1] as usize {
-                let f = scratch.fan[k] as usize;
-                if !scratch.in_cone[f] {
-                    scratch.stack.push(f as u32);
-                }
-            }
-        }
-        out.cone.clear();
-        out.cone.extend(scratch.order.iter().copied().filter(|id| scratch.in_cone[id.index()]));
-        refill(&mut scratch.update_of, n_new, usize::MAX);
-        for (ci, &id) in out.cone.iter().enumerate() {
-            scratch.update_of[id.index()] = ci;
-        }
+        self.rec.dirty_cone(mutated, changed, scratch, out)?;
         self.replay_cone(mutated, scratch, out)?;
-        // Settled-trajectory diff for `changed_values`.
-        let blocks = self.blocks;
-        out.changed_values.clear();
-        for (ci, &id) in out.cone.iter().enumerate() {
-            let differs = if id.index() >= n_base {
-                true
-            } else {
-                let old = &self.values[id.index() * blocks..(id.index() + 1) * blocks];
-                (0..blocks).any(|b| {
-                    let mask = if b + 1 == blocks { self.tail_mask } else { !0 };
-                    (old[b] ^ out.updates[ci * blocks + b]) & mask != 0
-                })
-            };
-            if differs {
-                out.changed_values.push(id);
-            }
-        }
-        obs::SIM_INC_RESIMS.inc();
-        obs::SIM_INC_CONE_NODES.add(out.cone.len() as u64);
-        obs::SIM_INC_REUSED_NODES.add((n_new - out.cone.len()) as u64);
+        self.rec.finish(mutated.node_count(), out);
         Ok(())
     }
 
@@ -360,19 +173,18 @@ impl IncrementalTimedSim {
     fn replay_cone(
         &self,
         mutated: &Netlist,
-        scratch: &mut TimedResimScratch,
+        scratch: &mut ResimScratch,
         out: &mut TimedConeResim,
     ) -> Result<(), NetlistError> {
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
         let cone = &out.cone;
-        let blocks = self.blocks;
-        let n_base = self.base.node_count();
+        let blocks = self.rec.blocks;
+        let n_base = self.rec.base.node_count();
         // Boundary set: direct out-of-cone fan-ins of cone nodes. Appended
         // nodes are always in the cone, so boundary indices are < n_base.
         refill(&mut scratch.b_index, n_base, usize::MAX);
         scratch.boundary.clear();
         for &id in cone.iter() {
-            let register = |f: NodeId, scratch: &mut TimedResimScratch| {
+            let register = |f: NodeId, scratch: &mut ResimScratch| {
                 if !scratch.in_cone[f.index()] && scratch.b_index[f.index()] == usize::MAX {
                     scratch.b_index[f.index()] = scratch.boundary.len();
                     scratch.boundary.push(f.index() as u32);
@@ -398,7 +210,7 @@ impl IncrementalTimedSim {
         refill(&mut scratch.delays, cone.len(), 0u64);
         for (ci, &id) in cone.iter().enumerate() {
             if let NodeKind::Gate { kind, inputs } = mutated.kind(id) {
-                scratch.delays[ci] = gate_delay_ps(&self.lib, *kind, inputs.len());
+                scratch.delays[ci] = transport_delay_ps(&self.lib, *kind, inputs.len());
             }
         }
         // Power-on settle of the cone (all-false inputs, registers at
@@ -412,7 +224,7 @@ impl IncrementalTimedSim {
                 NodeKind::Input => {
                     return Err(mismatch(format!("primary input {id} cannot be in the cone")))
                 }
-                NodeKind::Gate { kind, inputs } => eval_gate_bool(*kind, inputs, |f| {
+                NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
                     let u = scratch.update_of[f.index()];
                     if u != usize::MAX {
                         out.cone_init[u]
@@ -423,24 +235,15 @@ impl IncrementalTimedSim {
             };
             out.cone_init.push(v);
         }
-        scratch.cur.clear();
-        scratch.cur.extend_from_slice(&out.cone_init);
-        scratch.settled.clear();
-        scratch.settled.extend_from_slice(&out.cone_init);
-        refill(&mut scratch.dff_next, cone.len(), false);
-        for (ci, &id) in cone.iter().enumerate() {
-            if let NodeKind::Dff { init, .. } = mutated.kind(id) {
-                scratch.dff_next[ci] = *init;
-            }
-        }
+        scratch.cur.clone_from(&out.cone_init);
+        scratch.settled.clone_from(&out.cone_init);
+        scratch.arm_registers(mutated, cone);
         // Totals: cached rows for everything outside the cone, replayed
         // rows (accumulated below) for the cone.
         let n_new = mutated.node_count();
-        refill(&mut out.activity.activity.toggles, n_new, 0u64);
-        out.activity.activity.toggles[..n_base].copy_from_slice(&self.toggles);
-        refill(&mut out.activity.functional, n_new, 0u64);
-        out.activity.functional[..n_base].copy_from_slice(&self.functional);
-        out.activity.activity.cycles = (self.n_vectors - 1) as u64;
+        carry_totals(&mut out.activity.activity.toggles, &self.activity.activity.toggles, n_new);
+        carry_totals(&mut out.activity.functional, &self.activity.functional, n_new);
+        out.activity.activity.cycles = (self.rec.n_vectors - 1) as u64;
         for &id in cone.iter() {
             out.activity.activity.toggles[id.index()] = 0;
             out.activity.functional[id.index()] = 0;
@@ -449,8 +252,6 @@ impl IncrementalTimedSim {
             v.clear();
         }
         out.cone_events.resize_with(cone.len(), Vec::new);
-        out.blocks = blocks;
-        refill(&mut out.updates, cone.len() * blocks, 0u64);
 
         // Schedules the in-cone gate readers of `u` at `base_time` plus
         // their own transport delay, mirroring the scalar engine.
@@ -469,7 +270,7 @@ impl IncrementalTimedSim {
             };
         }
 
-        for s in 0..self.n_vectors {
+        for s in 0..self.rec.n_vectors {
             let count = s >= 1;
             scratch.heap.clear();
             // Time-zero flips of cone registers (their own Q updates).
@@ -514,7 +315,7 @@ impl IncrementalTimedSim {
                     // Only gates are ever scheduled.
                     unreachable!("non-gate {} popped from the event heap", cone[ci]);
                 };
-                let new = eval_gate_bool(*kind, inputs, |f| {
+                let new = eval_gate(*kind, inputs, |f| {
                     let fc = scratch.update_of[f.index()];
                     if fc != usize::MAX {
                         scratch.cur[fc]
@@ -566,26 +367,14 @@ impl IncrementalTimedSim {
             n_new,
             "resim is for a different netlist"
         );
-        let blocks = self.blocks;
-        let mut values = std::mem::take(&mut self.values);
-        values.resize(n_new * blocks, 0);
-        for (ci, &id) in resim.cone.iter().enumerate() {
-            values[id.index() * blocks..(id.index() + 1) * blocks]
-                .copy_from_slice(&resim.updates[ci * blocks..(ci + 1) * blocks]);
-        }
-        self.values = values;
+        self.rec.commit(mutated, resim);
         self.events_of.resize_with(n_new, Vec::new);
         self.init_values.resize(n_new, false);
         for (ci, &id) in resim.cone.iter().enumerate() {
-            self.events_of[id.index()].clear();
-            self.events_of[id.index()].extend_from_slice(&resim.cone_events[ci]);
+            self.events_of[id.index()].clone_from(&resim.cone_events[ci]);
             self.init_values[id.index()] = resim.cone_init[ci];
         }
-        self.toggles.clear();
-        self.toggles.extend_from_slice(&resim.activity.activity.toggles);
-        self.functional.clear();
-        self.functional.extend_from_slice(&resim.activity.functional);
-        self.base = mutated.clone();
+        self.activity.clone_from(&resim.activity);
     }
 }
 
@@ -744,7 +533,7 @@ mod tests {
         let lib = Library::default();
         let stream = stream_for(&nl, 13, 100);
         let inc = IncrementalTimedSim::record(&nl, &lib, &stream).unwrap();
-        let mut scratch = TimedResimScratch::default();
+        let mut scratch = ResimScratch::default();
         let mut out = TimedConeResim::default();
         let targets: Vec<NodeId> = nl
             .node_ids()

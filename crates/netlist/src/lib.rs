@@ -62,7 +62,7 @@ pub use editor::NetlistEditor;
 pub use error::{NetlistError, SourceFormat, SrcLoc};
 pub use event::{EventDrivenSim, TimedActivity};
 pub use incremental::{ConeResim, IncrementalSim, ResimScratch};
-pub use incremental_timed::{IncrementalTimedSim, TimedConeResim, TimedResimScratch};
+pub use incremental_timed::{IncrementalTimedSim, TimedConeResim};
 pub use ingest::{
     emit_verilog, emitted_net_names, ingest_auto, ingest_str, parse_edif, parse_verilog,
     sniff_format, structurally_equivalent,

@@ -42,6 +42,7 @@
 
 use crate::error::NetlistError;
 use crate::event::{EventDrivenSim, TimedActivity};
+use crate::incremental::pack_settled;
 use crate::library::Library;
 use crate::montecarlo::McKernel;
 use crate::netlist::Netlist;
@@ -115,10 +116,7 @@ fn timed_activity_packed<W: Word>(
     let mut traj = vec![0u64; n * blocks];
     for (c, v) in stream.iter().enumerate() {
         zd.step(v)?;
-        let (w, b) = (c / 64, c % 64);
-        for (node, &val) in zd.values_raw().iter().enumerate() {
-            traj[node * blocks + w] |= (val as u64) << b;
-        }
+        pack_settled(&mut traj, blocks, c, zd.values_raw());
     }
     // Consume the zero-delay activity so the trajectory pass does not
     // leak into the caller-visible zero-delay metrics totals twice.

@@ -2,8 +2,8 @@
 //! in-tree [`hlpower_rng::check`] harness.
 
 use hlpower_netlist::{
-    gen, streams, words, GateKind, IncrementalSim, Library, Netlist, NetlistEditor, NodeId,
-    NodeKind, ZeroDelaySim,
+    gen, streams, words, GateKind, IncrementalSim, IncrementalTimedSim, Library, Netlist,
+    NetlistEditor, NodeId, NodeKind, ZeroDelaySim,
 };
 use hlpower_rng::check::Check;
 use hlpower_rng::Rng;
@@ -220,6 +220,71 @@ fn dirty_cone_resim_matches_full_replay() {
             current = mutated;
         }
     });
+}
+
+/// The timed engine keeps the same contract under the transport-delay
+/// model: across a random sequence of committed mutations, each timed
+/// resim equals a from-scratch timed recording of the mutated netlist,
+/// glitch counts included, and the cone covers every node whose settled
+/// trajectory changed. The two engines, run side by side on the same
+/// stream and edits, also agree with each other: the settled
+/// trajectories are word-for-word equal, and the timed functional
+/// transitions are exactly the zero-delay toggles.
+#[test]
+fn timed_dirty_cone_resim_matches_full_replay_and_the_zero_delay_engine() {
+    Check::new("timed_dirty_cone_resim_matches_full_replay_and_the_zero_delay_engine")
+        .cases(24)
+        .run(|rng| {
+            let seed = rng.next_u64();
+            let n_inputs = rng.gen_range(3usize..8);
+            let n_gates = rng.gen_range(10usize..60);
+            let mut nl = Netlist::new();
+            gen::random_logic(&mut nl, seed, n_inputs, n_gates, 3);
+            let lib = Library::default();
+            let cycles = rng.gen_range(60usize..200);
+            let stream: Vec<Vec<bool>> = streams::random(seed, n_inputs).take(cycles).collect();
+            let mut timed = IncrementalTimedSim::record(&nl, &lib, &stream).expect("acyclic");
+            let mut untimed = IncrementalSim::record(&nl, &stream).expect("combinational");
+            let mut current = nl;
+            for _ in 0..rng.gen_range(1usize..5) {
+                let (mutated, changed) = random_mutation(rng, &current);
+                let resim = timed.resim(&mutated, &changed).expect("incremental edit");
+                let full = IncrementalTimedSim::record(&mutated, &lib, &stream).expect("acyclic");
+                let mut in_cone = vec![false; mutated.node_count()];
+                for &id in &resim.cone {
+                    in_cone[id.index()] = true;
+                }
+                for id in current.node_ids() {
+                    if timed.value_words(id) != full.value_words(id) {
+                        assert!(in_cone[id.index()], "node {id} changed outside the timed cone");
+                    }
+                }
+                for &id in &resim.changed_values {
+                    assert!(in_cone[id.index()]);
+                }
+                assert_eq!(
+                    resim.activity,
+                    full.activity(),
+                    "timed resim diverged from a re-record"
+                );
+                let glitches =
+                    |a: &hlpower_netlist::TimedActivity| a.total_glitches().expect("shape");
+                assert_eq!(glitches(&resim.activity), glitches(&full.activity()));
+                timed.commit(&mutated, &resim);
+                let zero_delay = untimed.resim(&mutated, &changed).expect("incremental edit");
+                untimed.commit(&mutated, &zero_delay);
+                for id in mutated.node_ids() {
+                    assert_eq!(timed.value_words(id), full.value_words(id), "timed cache at {id}");
+                    assert_eq!(
+                        timed.value_words(id),
+                        untimed.value_words(id),
+                        "settled trajectories of the two engines differ at {id}"
+                    );
+                }
+                assert_eq!(timed.activity().functional, untimed.activity().toggles);
+                current = mutated;
+            }
+        });
 }
 
 /// The recorded base activity always matches the scalar simulator, for

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use hlpower_netlist::{
     timed_activity, IncrementalTimedSim, Library, Netlist, NetlistEditor, NetlistError, NodeId,
-    NodeKind, TimedConeResim, TimedKernel, TimedResimScratch,
+    NodeKind, ResimScratch, TimedConeResim, TimedKernel,
 };
 use hlpower_obs::metrics as obs;
 
@@ -134,26 +134,6 @@ impl RetimeOutcome {
     }
 }
 
-/// Searches arrival-time thresholds for the minimum-power pipeline cut
-/// (the registers-at-glitchy-outputs heuristic realized as a sweep).
-///
-/// The baseline is the same circuit cut at the *output* boundary (every
-/// path registered once at the end), so all compared designs have equal
-/// latency and register discipline; differences come from where the
-/// registers sit — exactly Fig. 9's point.
-///
-/// # Errors
-///
-/// Returns a netlist error for cyclic circuits.
-pub fn low_power_retime(
-    netlist: &Netlist,
-    lib: &Library,
-    stream: &[Vec<bool>],
-    probes: usize,
-) -> Result<RetimeOutcome, NetlistError> {
-    low_power_retime_kernel(netlist, lib, stream, probes, TimedKernel::default())
-}
-
 /// Applies the threshold cut *in place* on `cut` (a clone of `base`):
 /// every gate edge crossing `threshold_ps` is rewired through a register
 /// and every output arriving below the threshold is rebound to a boundary
@@ -199,27 +179,29 @@ fn apply_cut_in_place(
     Ok(changed)
 }
 
-/// [`low_power_retime`] on an explicit timed kernel. Retained for API
-/// compatibility: the sweep is now scored by dirty-cone replay against a
-/// single event-driven [`IncrementalTimedSim`] recording, which is
-/// bit-identical across kernels, so the choice no longer matters.
+/// Searches arrival-time thresholds for the minimum-power pipeline cut
+/// (the registers-at-glitchy-outputs heuristic realized as a sweep).
+///
+/// The baseline is the same circuit cut at the *output* boundary (every
+/// path registered once at the end), so all compared designs have equal
+/// latency and register discipline; differences come from where the
+/// registers sit — exactly Fig. 9's point.
 ///
 /// Each probed threshold is expressed as an in-place register-insertion
-/// edit of the profiled circuit, and only the forward cone of the rewired
-/// gates and appended registers is replayed — the baseline waveforms of
-/// everything upstream are reused from the recording.
+/// edit of the profiled circuit and scored by dirty-cone replay against a
+/// single event-driven [`IncrementalTimedSim`] recording: only the forward
+/// cone of the rewired gates and appended registers is replayed, and the
+/// baseline waveforms of everything upstream are reused.
 ///
 /// # Errors
 ///
-/// As [`low_power_retime`].
-pub fn low_power_retime_kernel(
+/// Returns a netlist error for cyclic circuits.
+pub fn low_power_retime(
     netlist: &Netlist,
     lib: &Library,
     stream: &[Vec<bool>],
     probes: usize,
-    kernel: TimedKernel,
 ) -> Result<RetimeOutcome, NetlistError> {
-    let _ = kernel;
     let max_arrival = netlist.critical_path_ps(lib)?;
     let arrivals = netlist.arrival_times_ps(lib)?;
     // Record the unregistered circuit once; every threshold candidate is
@@ -227,10 +209,10 @@ pub fn low_power_retime_kernel(
     let inc = IncrementalTimedSim::record(netlist, lib, stream)?;
     let baseline_glitch_fraction = inc.activity().glitch_fraction()?;
 
-    let mut scratch = TimedResimScratch::default();
+    let mut scratch = ResimScratch::default();
     let mut resim = TimedConeResim::default();
     let score = |threshold: f64,
-                 scratch: &mut TimedResimScratch,
+                 scratch: &mut ResimScratch,
                  resim: &mut TimedConeResim|
      -> Result<f64, NetlistError> {
         let mut cut = netlist.clone();
@@ -352,9 +334,6 @@ mod tests {
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(11, 8).take(120).collect();
-        let s = low_power_retime_kernel(&nl, &lib, &stream, 3, TimedKernel::Scalar).unwrap();
-        let p = low_power_retime_kernel(&nl, &lib, &stream, 3, TimedKernel::Packed64).unwrap();
-        assert_eq!(s, p);
         let sp = glitch_profile_kernel(&nl, &lib, &stream, TimedKernel::Scalar).unwrap();
         let pp = glitch_profile_kernel(&nl, &lib, &stream, TimedKernel::Packed64).unwrap();
         assert_eq!(sp, pp);

@@ -17,7 +17,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use hlpower_obs::ctx::{RequestCtx, Stage};
 use hlpower_obs::json::Value;
@@ -78,7 +78,7 @@ impl AccessLog {
                 out.push('\n');
             }
         }
-        let mut file = self.file.lock().expect("access log poisoned");
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = file.write_all(out.as_bytes());
         let _ = file.flush();
     }

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -152,7 +152,7 @@ impl Engine {
             queue_recorded: false,
         };
         obs::SERVE_QUEUE_DEPTH.inc();
-        self.shared.incoming.lock().expect("engine queue poisoned").push(job);
+        self.shared.incoming.lock().unwrap_or_else(PoisonError::into_inner).push(job);
         self.shared.cv.notify_one();
         rx
     }
@@ -182,11 +182,13 @@ fn batcher_loop(shared: &Shared) {
     loop {
         let was_idle = active.is_empty();
         {
-            let mut q = shared.incoming.lock().expect("engine queue poisoned");
+            let mut q = shared.incoming.lock().unwrap_or_else(PoisonError::into_inner);
             if active.is_empty() {
                 while q.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                    let (guard, _) =
-                        shared.cv.wait_timeout(q, Duration::from_millis(50)).expect("wait");
+                    let (guard, _) = shared
+                        .cv
+                        .wait_timeout(q, Duration::from_millis(50))
+                        .unwrap_or_else(PoisonError::into_inner);
                     q = guard;
                 }
             }
@@ -201,7 +203,7 @@ fn batcher_loop(shared: &Shared) {
         // Gather window: let requests that arrived "together" share words.
         if was_idle && !shared.gather.is_zero() && !shared.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(shared.gather);
-            let mut q = shared.incoming.lock().expect("engine queue poisoned");
+            let mut q = shared.incoming.lock().unwrap_or_else(PoisonError::into_inner);
             active.append(&mut q);
         }
         round(&mut active, shared.threads);

@@ -35,11 +35,12 @@
 //! with the parser's located line/column/snippet where available) —
 //! never a dropped connection mid-request, never a panic.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -108,6 +109,9 @@ struct Shared {
     read_timeout: Duration,
     addr: SocketAddr,
     log: Option<AccessLog>,
+    /// A clone of every open connection's stream, by accept order, so
+    /// shutdown can wake connections idling in a keep-alive `read`.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running server; dropping it (or calling [`Server::shutdown`] then
@@ -148,6 +152,7 @@ impl Server {
             read_timeout: config.read_timeout,
             addr,
             log,
+            conns: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -194,11 +199,16 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for conn in listener.incoming() {
+    for (id, conn) in (0u64..).zip(listener.incoming()) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
+        // Registered before the thread starts, so every connection the
+        // loop accepted is reachable when shutdown wakes them below.
+        if let Ok(clone) = stream.try_clone() {
+            shared.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, clone);
+        }
         let conn_shared = Arc::clone(shared);
         conn_shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let spawned =
@@ -216,11 +226,20 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // the detached thread's TLS destructor may run only after
                 // the trace has been exported.
                 trace::flush_thread();
+                conn_shared.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
                 conn_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             });
         if spawned.is_err() {
+            shared.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
+    }
+    // Wake connections idling between keep-alive requests: a shut read
+    // half makes their blocked `read` return end-of-stream at once, while
+    // a request already read still gets its full response on the write
+    // half.
+    for stream in shared.conns.lock().unwrap_or_else(PoisonError::into_inner).values() {
+        let _ = stream.shutdown(Shutdown::Read);
     }
     // Drain request threads (bounded wait), then the engine via Drop.
     for _ in 0..500 {
@@ -623,7 +642,7 @@ fn estimate<W: Write>(
     meta.netlist_hash = Some(hash);
     let cached = {
         let _t = ctx.time_stage(Stage::Cache);
-        shared.cache.lock().expect("cache poisoned").get(hash)
+        shared.cache.lock().unwrap_or_else(PoisonError::into_inner).get(hash)
     };
     meta.cache = Some(if cached.is_some() { "hit" } else { "miss" });
     let cache_state = meta.cache.unwrap_or("miss");
@@ -638,7 +657,11 @@ fn estimate<W: Write>(
                 Ok(c) => {
                     let c = Arc::new(c);
                     let _t = ctx.time_stage(Stage::Cache);
-                    shared.cache.lock().expect("cache poisoned").insert(hash, Arc::clone(&c));
+                    shared
+                        .cache
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(hash, Arc::clone(&c));
                     c
                 }
                 Err(e) => {
@@ -764,4 +787,61 @@ fn result_value(
         ("cache".to_string(), Value::Str(cache_state.to_string())),
         ("request_id".to_string(), Value::Str(request_id.to_string())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+    use hlpower_netlist::{ingest_auto, monte_carlo_power_seeded_threads_kernel, streams, Library};
+
+    #[test]
+    fn a_poisoned_cache_lock_still_serves_estimates() {
+        let src = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/gray_counter4.v"
+        ))
+        .expect("read example");
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        // A thread that panics while holding the cache lock poisons it.
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poison the kernel cache");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.cache.is_poisoned());
+
+        let (_, nl) = ingest_auto(None, &src).expect("ingest");
+        let w = nl.input_count();
+        // The request below leaves every option at the server's default.
+        let opts = MonteCarloOptions {
+            batch_cycles: 60,
+            max_batches: 60,
+            target_relative_error: 0.01,
+            z: 1.96,
+        };
+        let want = monte_carlo_power_seeded_threads_kernel(
+            &nl,
+            &Library::default(),
+            |rng| streams::random_rng(rng, w),
+            7,
+            &opts,
+            1,
+            McKernel::Packed64,
+        )
+        .expect("offline run");
+        let body = format!("{{\"netlist\": {}, \"seed\": 7}}", json::escaped(&src));
+        let addr = server.addr().to_string();
+        // Twice: a miss that inserts under the poisoned lock, then a hit.
+        for round in ["miss", "hit"] {
+            let resp = client::request(&addr, "POST", "/estimate", Some(&body)).expect("request");
+            assert_eq!(resp.status, 200, "{round}: {}", resp.body);
+            let v = json::parse(&resp.body).expect("parse");
+            assert_eq!(v.get("cache").and_then(Value::as_str), Some(round));
+            let power = v.get("power_uw").and_then(Value::as_f64).expect("power_uw");
+            assert_eq!(power.to_bits(), want.power_uw.to_bits(), "{round}");
+        }
+        server.stop();
+    }
 }

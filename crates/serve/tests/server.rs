@@ -446,3 +446,58 @@ fn offline_model_reference_agrees_with_server_pipeline() {
     );
     assert_eq!(want.batches, 60);
 }
+
+/// Sends one keep-alive `POST /estimate` on `stream` and reads back its
+/// response body (the server answers with a `content-length` body).
+fn keep_alive_estimate(stream: &mut std::net::TcpStream, src: &str) -> (u16, String) {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let body = estimate_body(src);
+    write!(
+        stream,
+        "POST /estimate HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("write request");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status = line.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
+    let mut length = 0usize;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("header line");
+        if line.trim().is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse().expect("content-length");
+            }
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("body");
+    (status, String::from_utf8(body).expect("UTF-8 body"))
+}
+
+#[test]
+fn stop_does_not_wait_on_an_idle_keep_alive_connection() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let verilog = example("gray_counter4.v");
+    let want = offline_reference(&verilog);
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    // One answered request, then the connection idles in keep-alive.
+    let (status, body) = keep_alive_estimate(&mut conn, &verilog);
+    assert_eq!(status, 200, "{body}");
+    assert_matches_offline(&body, &want, "keep-alive estimate");
+    let started = Instant::now();
+    server.stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?} with an idle connection");
+    // The server closed the idle connection rather than abandoning it.
+    let mut rest = Vec::new();
+    assert_eq!(conn.read_to_end(&mut rest).expect("read after stop"), 0);
+}
